@@ -23,8 +23,6 @@ import numpy as np
 from .quantum import (
     EIGENVALUE_FLOOR,
     IDENTITY_2,
-    partial_trace_a,
-    partial_trace_b,
     pauli,
     tensor,
     validate_density_matrix,
@@ -42,6 +40,7 @@ __all__ = [
     "from_coherence",
     "reduced_bloch_a",
     "reduced_bloch_b",
+    "reduced_purity",
     "factorization_residual",
     "is_factorized",
     "embed_factorized",
@@ -132,11 +131,11 @@ class BlochVector:
 
     @property
     def purity_a(self) -> float:
-        return 0.5 + 2.0 * float(self.va @ self.va)
+        return float(reduced_purity(self.va))
 
     @property
     def purity_b(self) -> float:
-        return 0.5 + 2.0 * float(self.vb @ self.vb)
+        return float(reduced_purity(self.vb))
 
 
 def _as_flat(v) -> np.ndarray:
@@ -181,6 +180,15 @@ def reduced_bloch_b(v) -> np.ndarray:
     return _as_flat(v)[VB].copy()
 
 
+def _square_norm(x) -> np.ndarray:
+    return np.einsum("...i,...i->...", x, x)
+
+
+def reduced_purity(block) -> np.ndarray:
+    """One-qubit purity ``Tr(rho^2) = 1/2 + 2|x|^2`` of Bloch blocks ``x`` (last axis)."""
+    return 0.5 + 2.0 * _square_norm(block)
+
+
 def factorization_residual(v) -> float:
     """Euclidean distance of ``vAB`` from the product form ``2 vA (x) vB``.
 
@@ -215,9 +223,9 @@ def physicality_defect(states) -> np.ndarray:
     if isinstance(states, BlochVector):
         states = states.as_array()
     arr = np.atleast_2d(np.asarray(states, dtype=float))
-    full = np.einsum("ij,ij->i", arr, arr) - 1.0
-    norm_a = np.einsum("ij,ij->i", arr[:, VA], arr[:, VA]) - 0.25
-    norm_b = np.einsum("ij,ij->i", arr[:, VB], arr[:, VB]) - 0.25
+    full = _square_norm(arr) - 1.0
+    norm_a = _square_norm(arr[:, VA]) - 0.25
+    norm_b = _square_norm(arr[:, VB]) - 0.25
     defect = np.maximum(np.maximum(full, norm_a), norm_b)
     return defect if defect.size > 1 else defect[0]
 
@@ -226,13 +234,3 @@ def is_density_image(v, eig_floor: float = EIGENVALUE_FLOOR) -> bool:
     """Whether the coordinates correspond to a positive semi-definite state."""
     eigs = np.linalg.eigvalsh(from_coherence(v))
     return bool(eigs.min() >= eig_floor)
-
-
-def coherence_of_reduced(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch blocks ``(vA, vB)`` computed through the partial traces."""
-    rho = np.asarray(rho, dtype=complex)
-    rho_a = partial_trace_b(rho)
-    rho_b = partial_trace_a(rho)
-    va = np.array([0.5 * np.trace(rho_a @ pauli(i)).real for i in (1, 2, 3)])
-    vb = np.array([0.5 * np.trace(rho_b @ pauli(i)).real for i in (1, 2, 3)])
-    return va, vb

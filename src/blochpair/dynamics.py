@@ -1,12 +1,12 @@
 """Trajectory integration of the coherence-vector flow.
 
-Fixed-step classical Runge-Kutta of order 4.  For piecewise-constant
-controls the generator is constant within each step, so the RK4 update
-is applied as the degree-4 polynomial ``I + hM + ... + (hM)^4 / 24``
-precomputed per segment; this is the standard stage evaluation written
-as a single matrix and keeps long sweeps fast.  Sampled and
-state-feedback laws use explicit stage evaluation, with feedback laws
-seeing the stage state.
+Fixed-step classical Runge-Kutta of order 4.  Under an open-loop law
+each step is one 16x16 map ``R`` built from the generators at ``t``,
+``t + h/2`` and ``t + h``.  A piecewise-constant segment builds its map
+once, with the powers ``R^1 ... R^B`` by repeated doubling, and fills
+each block of ``B`` states with one product; a sampled law builds the
+maps of ``B`` steps at a time as one stack.  State-feedback laws keep
+stage evaluation, as the law must see each stage state.
 
 Trajectories record every step.  The ``c0`` component has identically
 zero derivative (first generator row is zero), so it stays at exactly
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coherence import BlochVector, VA, VB, physicality_defect, from_coherence
+from .coherence import BlochVector, VA, VB, from_coherence, physicality_defect, reduced_purity
 from .generator import assemble_blocks, control_generators
 from .model import TwoQubitModel
 
@@ -45,6 +45,8 @@ __all__ = [
 ABORT_TOL = 1e-6
 #: violation level recorded as a warning in the trajectory report
 WARN_TOL = 1e-8
+#: steps ``B`` advanced by one stack of one-step maps
+_BLOCK = 256
 
 
 class PhysicalityError(RuntimeError):
@@ -130,10 +132,9 @@ class ControlLaw:
         if self.kind == "piecewise-constant":
             k = int(np.searchsorted(self.times, t, side="right") - 1)
             return self.values[max(k, 0)]
-        if self.kind == "sampled":
-            return self._check_bound(
-                np.array([np.interp(t, self.times, self.values[:, i]) for i in range(3)])
-            )
+        if self.kind == "sampled":  # t may also be an array of times
+            u = [np.interp(t, self.times, self.values[:, i]) for i in range(3)]
+            return self._check_bound(np.stack(u, axis=-1))
         u = np.asarray(self.callback(t, v), dtype=float).reshape(3)
         return self._check_bound(u)
 
@@ -167,20 +168,20 @@ class Trajectory:
 
     @property
     def purity_a(self) -> np.ndarray:
-        block = self.states[:, VA]
-        return 0.5 + 2.0 * np.einsum("ij,ij->i", block, block)
+        return reduced_purity(self.states[:, VA])
 
     @property
     def purity_b(self) -> np.ndarray:
-        block = self.states[:, VB]
-        return 0.5 + 2.0 * np.einsum("ij,ij->i", block, block)
+        return reduced_purity(self.states[:, VB])
 
 
-def _rk4_matrix(m: np.ndarray, h: float) -> np.ndarray:
-    """Degree-4 Taylor polynomial of ``exp(hM)``: the RK4 one-step map."""
-    a = h * m
-    eye = np.eye(m.shape[0])
-    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float) -> np.ndarray:
+    """One-step RK4 map ``R`` from the generators at t, t + h/2 and t + h; single or stacked."""
+    eye = np.eye(m1.shape[-1])
+    a2 = m2 @ (eye + 0.5 * h * m1)
+    a3 = m2 @ (eye + 0.5 * h * a2)
+    a4 = m4 @ (eye + h * a3)
+    return eye + (h / 6.0) * (m1 + 2.0 * a2 + 2.0 * a3 + a4)
 
 
 def _as_state_array(v0) -> np.ndarray:
@@ -229,9 +230,15 @@ def integrate(
     ------
     PhysicalityError
         If any recorded state violates the norm constraints by more
-        than ``abort_tol``.  Smaller violations (above ``warn_tol``) are
-        reported in ``metadata["physicality"]`` without aborting.
+        than ``abort_tol``, or is not finite.  Smaller violations (above
+        ``warn_tol``) are reported in ``metadata["physicality"]`` without
+        aborting.
     """
+    return _integrate(model, control_generators(model), v0, law, horizon, step, abort_tol, warn_tol)
+
+
+def _integrate(model, split, v0, law, horizon, step, abort_tol=ABORT_TOL, warn_tol=WARN_TOL):
+    """:func:`integrate` with the ``control_generators(model)`` split given."""
     if step <= 0:
         raise ValueError("step must be positive")
     if horizon < step:
@@ -241,10 +248,10 @@ def integrate(
 
     start = _as_state_array(v0)
     start_defect = float(physicality_defect(start))
-    if start_defect > abort_tol:
+    if not start_defect <= abort_tol:
         raise PhysicalityError(0.0, start_defect)
 
-    m0, mc = control_generators(model)
+    m0, mc = split
     states = np.empty((n_steps + 1, 16))
     controls = np.empty((n_steps + 1, 3))
     states[0] = start
@@ -252,51 +259,43 @@ def integrate(
     if law.kind == "piecewise-constant":
         for seg_start, seg_stop, u in _segment_bounds(law, n_steps, step):
             law._check_bound(u)
-            r = _rk4_matrix(m0 + np.einsum("j,jkl->kl", u, mc), step)
+            m = m0 + np.einsum("j,jkl->kl", u, mc)
+            powers = _rk4_map(m, m, m, step)[None]
+            while len(powers) < min(_BLOCK, seg_stop - seg_start):  # r^1 ... r^B by doubling
+                powers = np.concatenate([powers, powers[-1] @ powers])
+            rows = powers.reshape(-1, 16)  # a block is then one BLAS mat-vec
             controls[seg_start:seg_stop] = u
-            v = states[seg_start]
-            for k in range(seg_start, seg_stop):
-                v = r @ v
-                states[k + 1] = v
+            for k in range(seg_start, seg_stop, len(powers)):
+                n = min(len(powers), seg_stop - k)
+                states[k + 1 : k + 1 + n] = (rows[: 16 * n] @ states[k]).reshape(n, 16)
         controls[n_steps] = controls[n_steps - 1]
     elif law.kind == "sampled":
-        v = start
-        for k in range(n_steps):
-            t = times[k]
-            u1 = law(t)
-            u2 = law(t + 0.5 * step)
-            u4 = law(t + step)
-            m1 = m0 + np.einsum("j,jkl->kl", u1, mc)
-            m2 = m0 + np.einsum("j,jkl->kl", u2, mc)
-            m4 = m0 + np.einsum("j,jkl->kl", u4, mc)
-            k1 = m1 @ v
-            k2 = m2 @ (v + 0.5 * step * k1)
-            k3 = m2 @ (v + 0.5 * step * k2)
-            k4 = m4 @ (v + step * k3)
-            controls[k] = u1
-            v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[k + 1] = v
+        for k0 in range(0, n_steps, _BLOCK):
+            t = times[k0 : min(k0 + _BLOCK, n_steps)]
+            u = law(np.stack([t, t + 0.5 * step, t + step], axis=1))
+            m = m0 + np.einsum("nsj,jkl->snkl", u, mc)
+            controls[k0 : k0 + len(t)] = u[:, 0]
+            for k, r in enumerate(_rk4_map(m[0], m[1], m[2], step), start=k0):
+                states[k + 1] = r @ states[k]
         controls[n_steps] = law(times[n_steps])
     elif law.kind == "state-feedback":
-        v = start
 
         def rhs(t, y):
             u = law(t, y)
             return (m0 + np.einsum("j,jkl->kl", u, mc)) @ y, u
 
-        for k in range(n_steps):
-            t = times[k]
-            k1, u1 = rhs(t, v)
+        for k, t in enumerate(times[:-1]):
+            v = states[k]
+            k1, controls[k] = rhs(t, v)
             k2, _ = rhs(t + 0.5 * step, v + 0.5 * step * k1)
             k3, _ = rhs(t + 0.5 * step, v + 0.5 * step * k2)
             k4, _ = rhs(t + step, v + step * k3)
-            controls[k] = u1
-            v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[k + 1] = v
+            states[k + 1] = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         controls[n_steps] = law(times[n_steps], states[n_steps])
     else:
         raise ValueError(f"unknown control-law kind {law.kind!r}")
 
+    # argmax returns the first NaN, and ``not <=`` rejects it
     defects = np.atleast_1d(physicality_defect(states))
     worst = int(np.argmax(defects))
     report = {
@@ -304,7 +303,7 @@ def integrate(
         "t_worst": float(times[worst]),
         "within_warn_tol": bool(defects[worst] <= warn_tol),
     }
-    if defects[worst] > abort_tol:
+    if not defects[worst] <= abort_tol:
         raise PhysicalityError(float(times[worst]), float(defects[worst]))
 
     metadata = {
@@ -372,10 +371,11 @@ def purification_scan(
     horizons = [float(h) for h in np.atleast_1d(horizons)]
     t_max = max(horizons)
     require_interior(v0)
+    split = control_generators(model)
     entries = []
     min_margin = np.inf
     for idx, law in enumerate(laws):
-        traj = integrate(model, v0, law, t_max, step)
+        traj = _integrate(model, split, v0, law, t_max, step)
         running_max = np.maximum.accumulate(traj.purity_b)
         per_horizon = []
         for t_h in horizons:

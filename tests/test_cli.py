@@ -213,6 +213,20 @@ def test_simulate_unphysical_state_is_numerical_error(damping_model_path, tmp_pa
     assert json.loads(err)["error"]["code"] == 3
 
 
+def test_simulate_non_finite_model_is_numerical_error(damping_model_path, tmp_path, capsys):
+    doc = json.loads(damping_model_path.read_text())
+    doc["omega_a"] = float("nan")
+    nan_path = tmp_path / "nan_model.json"
+    nan_path.write_text(json.dumps(doc))  # written as the JSON token NaN
+    code, stdout, err = run_cli(
+        ["simulate", "--model", nan_path, "--horizon", "1", "--out", tmp_path / "t.csv"],
+        capsys,
+    )
+    assert code == 3
+    assert stdout == ""
+    assert json.loads(err)["error"]["code"] == 3
+
+
 def test_analyze_w_dispersive(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, stdout, _ = run_cli(

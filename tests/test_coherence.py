@@ -17,6 +17,7 @@ from blochpair.coherence import (
     physicality_defect,
     reduced_bloch_a,
     reduced_bloch_b,
+    reduced_purity,
     to_coherence,
 )
 from blochpair.quantum import (
@@ -79,13 +80,17 @@ def test_round_trip(rng):
 
 
 def test_reduced_blocks_match_partial_traces(rng):
-    for _ in range(25):
-        rho = random_density_matrix(rng)
-        v = to_coherence(rho)
-        vb = reduced_bloch_b(v)
-        va = reduced_bloch_a(v)
-        assert 0.5 + 2 * vb @ vb == pytest.approx(purity(partial_trace_a(rho)), abs=1e-12)
-        assert 0.5 + 2 * va @ va == pytest.approx(purity(partial_trace_b(rho)), abs=1e-12)
+    rhos = [random_density_matrix(rng) for _ in range(25)]
+    vs = [to_coherence(rho) for rho in rhos]
+    purity_a = [purity(partial_trace_b(rho)) for rho in rhos]
+    purity_b = [purity(partial_trace_a(rho)) for rho in rhos]
+    for v, pa, pb in zip(vs, purity_a, purity_b):
+        assert v.purity_a == pytest.approx(pa, abs=1e-12)
+        assert v.purity_b == pytest.approx(pb, abs=1e-12)
+    stack_a = np.array([reduced_bloch_a(v) for v in vs])
+    stack_b = np.array([reduced_bloch_b(v) for v in vs])
+    np.testing.assert_allclose(reduced_purity(stack_a), purity_a, atol=1e-12)
+    np.testing.assert_allclose(reduced_purity(stack_b), purity_b, atol=1e-12)
 
 
 def test_reduced_purity_extremes():

@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from blochpair.coherence import embed_factorized, to_coherence
 from blochpair.dynamics import (
+    ABORT_TOL,
     BoundaryStateError,
     ControlLaw,
     PhysicalityError,
@@ -15,6 +18,7 @@ from blochpair.dynamics import (
     write_trajectory_csv,
     write_trajectory_json,
 )
+from blochpair.generator import control_generators
 from blochpair.model import TwoQubitModel
 from blochpair.protection import Coupling, make_model
 from blochpair.quantum import SIGMA_MINUS
@@ -244,3 +248,124 @@ def test_no_dissipation_constant_full_purity(rng):
     traj = integrate(model, v0, ControlLaw.constant([0.4, 0.1, -0.2]), 5.0, 1e-3)
     pf = traj.purity_full
     assert np.max(np.abs(pf - pf[0])) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        ControlLaw.feedback(lambda t, v: np.full(3, np.nan)),
+        ControlLaw.constant([1e200, 0.0, 0.0]),
+    ],
+    ids=["nan-feedback", "overflowing-constant"],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_non_finite_states_abort(law):
+    with pytest.raises(PhysicalityError) as info:
+        integrate(closed_model(), MIXED16, law, 0.1, 1e-2)
+    assert not info.value.defect <= ABORT_TOL
+
+
+def test_non_finite_start_aborts():
+    start = MIXED16.copy()
+    start[5] = np.nan
+    with pytest.raises(PhysicalityError):
+        integrate(closed_model(), start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
+
+
+def _generator(split, u):
+    m0, mc = split
+    return m0 + np.einsum("j,jkl->kl", u, mc)
+
+
+def _taylor4(m, h):
+    return sum(np.linalg.matrix_power(h * m, k) / math.factorial(k) for k in range(5))
+
+
+def test_piecewise_blocks_match_sequential_stepping(rng):
+    # segments of 1, B - 1, B, B + 1 and 2B + 1 steps around the block
+    # size B = 256, then the rest of a 40k-step horizon
+    step = 1e-3
+    lengths = [1, 255, 256, 257, 513]
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    model = random_model(rng)
+    values = rng.uniform(-1, 1, (starts.shape[0], 3))
+    law = ControlLaw.piecewise_constant(starts * step, values)
+    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    traj = integrate(model, v0, law, 40.0, step)
+
+    stops = np.append(starts[1:], 40_000)
+    split = control_generators(model)
+    expected = [v0]
+    v = v0
+    for start, stop, u in zip(starts, stops, values):
+        r = _taylor4(_generator(split, u), step)
+        for _ in range(start, stop):
+            v = r @ v
+            expected.append(v)
+    np.testing.assert_allclose(traj.states, np.array(expected), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(traj.controls[starts], values)
+
+
+def test_sampled_maps_match_stage_wise_loop(rng):
+    model = random_model(rng)
+    times = np.linspace(0.0, 1.3, 14)
+    law = ControlLaw.sampled(times, rng.uniform(-1, 1, (14, 3)), bound=1.0)
+    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    step = 1e-3
+    traj = integrate(model, v0, law, 1.3, step)  # 1300 steps: five chunks of 256, then 20
+
+    split = control_generators(model)
+    expected = [v0]
+    v = v0
+    for t in traj.times[:-1]:
+        m1 = _generator(split, law(t))
+        m2 = _generator(split, law(t + 0.5 * step))
+        m4 = _generator(split, law(t + step))
+        k1 = m1 @ v
+        k2 = m2 @ (v + 0.5 * step * k1)
+        k3 = m2 @ (v + 0.5 * step * k2)
+        k4 = m4 @ (v + step * k3)
+        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append(v)
+    np.testing.assert_allclose(traj.states, np.array(expected), rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(traj.controls, [law(t) for t in traj.times])
+
+
+def test_piecewise_matches_exact_propagator_at_segment_ends(rng):
+    # A closed model has an antisymmetric generator M, so exp(tM) is
+    # orthogonal, the RK4 map has norm <= 1 for h |M| < 2 sqrt(2), and
+    # |RK4(hM) - exp(hM)| <= (h |M|)^5 / 120: the global error after n
+    # steps is at most n (h |M|)^5 / 120 |v0|.
+    model = closed_model(lam_scale=1.5, rng=rng)
+    step = 1e-2
+    breaks = np.array([0.0, 1.5, 2.2, 4.0])
+    values = rng.uniform(-1, 1, (4, 3))
+    law = ControlLaw.piecewise_constant(breaks, values)
+    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    traj = integrate(model, v0, law, 5.0, step)
+
+    ends = np.append(breaks[1:], 5.0)
+    split = control_generators(model)
+    exact, bound = v0, 1e-13
+    for start, end, u in zip(breaks, ends, values):
+        m = _generator(split, u)
+        h_norm = step * np.linalg.norm(m, 2)
+        assert np.allclose(m, -m.T, atol=1e-14) and h_norm < 2 * np.sqrt(2)
+        exact = expm((end - start) * m) @ exact
+        bound += round((end - start) / step) * h_norm**5 / 120 * np.linalg.norm(v0)
+        error = np.linalg.norm(traj.states[round(end / step)] - exact)
+        assert 0 < error <= bound
+
+
+def test_sampled_half_step_control_is_bound_checked():
+    # the constructor checks the samples; this one bypasses it so only
+    # the half-step value 5 exceeds the bound, never a full-step value
+    step = 1e-2
+    law = ControlLaw(
+        "sampled",
+        times=np.array([0.0, 0.5 * step, step, 1.0]),
+        values=np.array([[0, 0, 0], [5, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=float),
+        bound=1.0,
+    )
+    with pytest.raises(ValueError, match="bound"):
+        integrate(closed_model(), MIXED16, law, 1.0, step)
