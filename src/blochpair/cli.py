@@ -28,9 +28,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coherence import embed_factorized
+from .coherence import factorized_states
 from .dynamics import (
-    BoundaryStateError,
     ControlLaw,
     PhysicalityError,
     atomic_write_text,
@@ -44,7 +43,6 @@ from .model import TwoQubitModel, load_model
 from .protection import (
     COUPLING_TAGS,
     Coupling,
-    IncompatibleDissipationError,
     axis1_escape_report,
     compatibility,
     make_model,
@@ -104,9 +102,7 @@ def _load_model_arg(path: str) -> TwoQubitModel:
 
 def _initial_state(spec: str) -> np.ndarray:
     if spec == "mixed":
-        v = np.zeros(16)
-        v[0] = 0.5
-        return v
+        return factorized_states(np.zeros(3), np.zeros(3))
     if spec.startswith("product:"):
         try:
             va_text, vb_text = spec[len("product:") :].split(":")
@@ -116,7 +112,7 @@ def _initial_state(spec: str) -> np.ndarray:
             ) from exc
         va = _parse_triple(va_text, "--v0")
         vb = _parse_triple(vb_text, "--v0")
-        return embed_factorized(va, vb).as_array()
+        return factorized_states(va, vb)
     raise CliConfigError(f"unknown --v0 specification {spec!r}")
 
 
@@ -144,11 +140,8 @@ def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | Non
         for target in (0.5, -0.5):
             ok, _ = compatibility(model, target)
             if ok:
-                law = protecting_law(model, target)
-                start = embed_factorized(
-                    np.array([0.0, 0.0, target]), np.array([0.0, 0.0, 0.5])
-                ).as_array()
-                return law, start
+                start = factorized_states([0.0, 0.0, target], [0.0, 0.0, 0.5])
+                return protecting_law(model, target), start
         raise CliConfigError(
             "protect-sigma31 requires dissipation compatible with vA3 = +1/2 or -1/2 "
             "(v0_3/2 + vA3*d33 = 0)"
@@ -298,13 +291,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliConfigError as exc:
-        return _emit_error(EXIT_CONFIG, str(exc))
-    except BoundaryStateError as exc:
-        return _emit_error(EXIT_CONFIG, str(exc))
-    except IncompatibleDissipationError as exc:
-        return _emit_error(EXIT_CONFIG, str(exc))
-    except ValueError as exc:
+    except (CliConfigError, ValueError) as exc:  # includes BoundaryStateError, IncompatibleDissipationError
         return _emit_error(EXIT_CONFIG, str(exc))
     except PhysicalityError as exc:
         return _emit_error(EXIT_NUMERICAL, str(exc), {"t": exc.t, "defect": exc.defect})

@@ -44,6 +44,7 @@ __all__ = [
     "factorization_residual",
     "is_factorized",
     "embed_factorized",
+    "factorized_states",
     "physicality_defect",
     "is_density_image",
 ]
@@ -54,7 +55,7 @@ VA = slice(1, 4)
 VAB = slice(4, 13)
 VB = slice(13, 16)
 
-#: default threshold below which a state counts as factorized
+#: threshold below which a state counts as factorized
 FACTORIZATION_TOL = 1e-8
 
 
@@ -126,8 +127,7 @@ class BlochVector:
 
     @property
     def purity_full(self) -> float:
-        v = self.as_array()
-        return float(v @ v)
+        return float(_square_norm(self.as_array()))
 
     @property
     def purity_a(self) -> float:
@@ -144,17 +144,14 @@ def _as_flat(v) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(16)
 
 
-def to_coherence(rho: np.ndarray, *, validate: bool = True) -> BlochVector:
-    """Expand a density matrix in the Lambda basis.
+def to_coherence(rho: np.ndarray) -> BlochVector:
+    """Validate a density matrix and expand it in the Lambda basis.
 
     The trace component is pinned to exactly ``1/2`` (its value for any
     unit-trace state); the remaining 15 components are the Frobenius
     projections onto the traceless basis elements.
     """
-    if validate:
-        rho = validate_density_matrix(rho)
-    else:
-        rho = np.asarray(rho, dtype=complex)
+    rho = validate_density_matrix(rho)
     coeffs = np.einsum("ikl,lk->i", _LAMBDA, rho).real
     coeffs[IDX_C0] = 0.5
     return BlochVector.from_array(coeffs)
@@ -200,16 +197,29 @@ def factorization_residual(v) -> float:
     return float(np.linalg.norm(flat[VAB] - prod))
 
 
-def is_factorized(v, tol: float = FACTORIZATION_TOL) -> bool:
-    """Whether the correlation block is within ``tol`` of product form."""
-    return factorization_residual(v) <= tol
+def is_factorized(v) -> bool:
+    """Whether the correlation block is within ``FACTORIZATION_TOL`` of product form."""
+    return factorization_residual(v) <= FACTORIZATION_TOL
+
+
+def factorized_states(va, vb) -> np.ndarray:
+    """States ``(1/2, vA, 2 vA (x) vB, vB)`` of blocks ``(..., 3)``, as ``(..., 16)``.
+
+    ``va`` and ``vb`` broadcast against each other over the leading axes.
+    """
+    va, vb = np.broadcast_arrays(np.asarray(va, dtype=float), np.asarray(vb, dtype=float))
+    lead = va.shape[:-1]
+    out = np.empty(lead + (16,))
+    out[..., IDX_C0] = 0.5
+    out[..., VA] = va
+    out[..., VAB] = np.einsum("...i,...j->...ij", va, 2.0 * vb).reshape(lead + (9,))
+    out[..., VB] = vb
+    return out
 
 
 def embed_factorized(va: np.ndarray, vb: np.ndarray) -> BlochVector:
     """Coherence vector of the state with blocks ``(vA, 2 vA (x) vB, vB)``."""
-    va = np.asarray(va, dtype=float).reshape(3)
-    vb = np.asarray(vb, dtype=float).reshape(3)
-    return BlochVector(0.5, va, 2.0 * np.outer(va, vb).reshape(9), vb)
+    return BlochVector.from_array(factorized_states(va, vb))
 
 
 def physicality_defect(states) -> np.ndarray:
@@ -230,7 +240,7 @@ def physicality_defect(states) -> np.ndarray:
     return defect if defect.size > 1 else defect[0]
 
 
-def is_density_image(v, eig_floor: float = EIGENVALUE_FLOOR) -> bool:
+def is_density_image(v) -> bool:
     """Whether the coordinates correspond to a positive semi-definite state."""
     eigs = np.linalg.eigvalsh(from_coherence(v))
-    return bool(eigs.min() >= eig_floor)
+    return bool(eigs.min() >= EIGENVALUE_FLOOR)

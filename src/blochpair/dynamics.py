@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .coherence import BlochVector, VA, VB, from_coherence, physicality_defect, reduced_purity
+from .coherence import _as_flat, _square_norm
 from .generator import assemble_blocks, control_generators
 from .model import TwoQubitModel
 
@@ -47,6 +48,12 @@ ABORT_TOL = 1e-6
 WARN_TOL = 1e-8
 #: steps ``B`` advanced by one stack of one-step maps
 _BLOCK = 256
+#: an interior state has full purity below ``1 - _INTERIOR_PURITY_MARGIN``
+_INTERIOR_PURITY_MARGIN = 1e-6
+#: smallest density-matrix eigenvalue an interior state may have
+_INTERIOR_EIG_MARGIN = 1e-9
+#: most segments of one law drawn by :func:`random_control_laws`
+_MAX_SEGMENTS = 8
 
 
 class PhysicalityError(RuntimeError):
@@ -75,7 +82,8 @@ class ControlLaw:
     grid; sampled laws interpolate linearly between samples;
     state-feedback laws call ``callback(t, v)`` with the current
     16-component coherence vector.  If ``bound`` is set, every evaluated
-    value must satisfy ``max|u_i| <= bound``.
+    value must satisfy ``max|u_i| <= bound``.  The piecewise-constant and
+    sampled constructors require finite times, values and bound.
     """
 
     kind: str
@@ -91,27 +99,32 @@ class ControlLaw:
 
     @classmethod
     def piecewise_constant(cls, times, values, bound: float | None = None) -> "ControlLaw":
-        times = np.asarray(times, dtype=float).reshape(-1)
-        values = np.asarray(values, dtype=float).reshape(-1, 3)
-        if times.shape[0] != values.shape[0]:
-            raise ValueError("need one control value per breakpoint")
-        if times[0] != 0.0:
+        law = cls._from_samples("piecewise-constant", times, values, bound)
+        if law.times[0] != 0.0:
             raise ValueError("first breakpoint must be t = 0")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        law = cls("piecewise-constant", times=times, values=values, bound=bound)
-        law._check_bound(values)
         return law
 
     @classmethod
     def sampled(cls, times, values, bound: float | None = None) -> "ControlLaw":
+        law = cls._from_samples("sampled", times, values, bound)
+        if law.times.shape[0] < 2:
+            raise ValueError("sampled law needs at least two samples")
+        return law
+
+    @classmethod
+    def _from_samples(cls, kind: str, times, values, bound: float | None) -> "ControlLaw":
+        """Checks shared by the piecewise-constant and sampled constructors."""
         times = np.asarray(times, dtype=float).reshape(-1)
         values = np.asarray(values, dtype=float).reshape(-1, 3)
-        if times.shape[0] != values.shape[0] or times.shape[0] < 2:
-            raise ValueError("sampled law needs matching times/values, at least two")
+        if times.shape[0] != values.shape[0] or times.shape[0] == 0:
+            raise ValueError("need one control value per time, at least one")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("control times and values must be finite")
+        if bound is not None and not np.isfinite(bound):
+            raise ValueError(f"control bound must be finite, got {bound}")
         if np.any(np.diff(times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        law = cls("sampled", times=times, values=values, bound=bound)
+            raise ValueError("control times must be strictly increasing")
+        law = cls(kind, times=times, values=values, bound=bound)
         law._check_bound(values)
         return law
 
@@ -164,7 +177,7 @@ class Trajectory:
 
     @property
     def purity_full(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.states, self.states)
+        return _square_norm(self.states)
 
     @property
     def purity_a(self) -> np.ndarray:
@@ -182,12 +195,6 @@ def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float) -> np.nda
     a3 = m2 @ (eye + 0.5 * h * a2)
     a4 = m4 @ (eye + h * a3)
     return eye + (h / 6.0) * (m1 + 2.0 * a2 + 2.0 * a3 + a4)
-
-
-def _as_state_array(v0) -> np.ndarray:
-    if isinstance(v0, BlochVector):
-        return v0.as_array()
-    return np.asarray(v0, dtype=float).reshape(16).copy()
 
 
 def _segment_bounds(law: ControlLaw, n_steps: int, step: float) -> list[tuple[int, int, np.ndarray]]:
@@ -211,9 +218,6 @@ def integrate(
     law: ControlLaw,
     horizon: float,
     step: float,
-    *,
-    abort_tol: float = ABORT_TOL,
-    warn_tol: float = WARN_TOL,
 ) -> Trajectory:
     """Integrate the controlled flow from ``v0`` over ``[0, horizon]``.
 
@@ -229,15 +233,15 @@ def integrate(
     Raises
     ------
     PhysicalityError
-        If any recorded state violates the norm constraints by more
-        than ``abort_tol``, or is not finite.  Smaller violations (above
-        ``warn_tol``) are reported in ``metadata["physicality"]`` without
-        aborting.
+        If the start or any recorded state violates the norm constraints
+        by more than :data:`ABORT_TOL`, or is not finite.  The worst
+        defect, and whether it stays within :data:`WARN_TOL`, is reported
+        in ``metadata["physicality"]``.
     """
-    return _integrate(model, control_generators(model), v0, law, horizon, step, abort_tol, warn_tol)
+    return _integrate(model, control_generators(model), v0, law, horizon, step)
 
 
-def _integrate(model, split, v0, law, horizon, step, abort_tol=ABORT_TOL, warn_tol=WARN_TOL):
+def _integrate(model, split, v0, law, horizon, step):
     """:func:`integrate` with the ``control_generators(model)`` split given."""
     if step <= 0:
         raise ValueError("step must be positive")
@@ -246,9 +250,9 @@ def _integrate(model, split, v0, law, horizon, step, abort_tol=ABORT_TOL, warn_t
     n_steps = int(round(horizon / step))
     times = np.arange(n_steps + 1) * step
 
-    start = _as_state_array(v0)
+    start = _as_flat(v0)
     start_defect = float(physicality_defect(start))
-    if not start_defect <= abort_tol:
+    if not start_defect <= ABORT_TOL:
         raise PhysicalityError(0.0, start_defect)
 
     m0, mc = split
@@ -301,9 +305,9 @@ def _integrate(model, split, v0, law, horizon, step, abort_tol=ABORT_TOL, warn_t
     report = {
         "max_defect": float(defects[worst]),
         "t_worst": float(times[worst]),
-        "within_warn_tol": bool(defects[worst] <= warn_tol),
+        "within_warn_tol": bool(defects[worst] <= WARN_TOL),
     }
-    if not defects[worst] <= abort_tol:
+    if not defects[worst] <= ABORT_TOL:
         raise PhysicalityError(float(times[worst]), float(defects[worst]))
 
     metadata = {
@@ -324,29 +328,29 @@ def purity_rate_b(model: TwoQubitModel, v) -> float:
     only the coupling term can change the reduced purity of B.  The
     value does not depend on the control or on the jump operators.
     """
-    flat = _as_state_array(v)
+    flat = _as_flat(v)
     blocks = assemble_blocks(model, np.zeros(3))
     vb = flat[VB]
     return 4.0 * float(vb @ (blocks.h_b @ vb) + vb @ (blocks.h_ib @ flat[4:13]))
 
 
-def require_interior(v0, *, purity_margin: float = 1e-6, eig_margin: float = 1e-9) -> None:
+def require_interior(v0) -> None:
     """Raise :class:`BoundaryStateError` unless ``v0`` is strictly interior.
 
     Interior means the reassembled density matrix is strictly positive
-    (all eigenvalues above ``eig_margin``), which also implies full
-    purity below one; the explicit purity margin guards against states
-    numerically glued to the pure-state sphere.
+    (all eigenvalues at or above ``_INTERIOR_EIG_MARGIN``), which also
+    implies full purity below one; the explicit purity margin guards
+    against states numerically glued to the pure-state sphere.
     """
-    flat = _as_state_array(v0)
-    full_purity = float(flat @ flat)
-    if full_purity >= 1.0 - purity_margin:
+    flat = _as_flat(v0)
+    full_purity = float(_square_norm(flat))
+    if full_purity >= 1.0 - _INTERIOR_PURITY_MARGIN:
         raise BoundaryStateError(
             f"initial state has full purity {full_purity:.9f}; "
             "a strictly interior (mixed, non-singular) state is required"
         )
     eigs = np.linalg.eigvalsh(from_coherence(flat))
-    if eigs.min() < eig_margin:
+    if eigs.min() < _INTERIOR_EIG_MARGIN:
         raise BoundaryStateError(
             f"initial state is singular (min eigenvalue {eigs.min():.3e}); "
             "boundary states are excluded from purification scans"
@@ -401,12 +405,11 @@ def random_control_laws(
     n_laws: int,
     bound: float,
     horizon: float,
-    max_segments: int = 8,
 ) -> list[ControlLaw]:
     """Seeded piecewise-constant laws with values uniform in the bound box."""
     laws = []
     for _ in range(n_laws):
-        n_seg = int(rng.integers(1, max_segments + 1))
+        n_seg = int(rng.integers(1, _MAX_SEGMENTS + 1))
         cuts = np.sort(rng.uniform(0.0, horizon, n_seg - 1))
         times = np.concatenate([[0.0], cuts])
         times = np.unique(times)

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 _TRACELESS_TOL = 1e-12
+#: entrywise distance within which control Hamiltonians count as the Pauli set
+_DEFAULT_CONTROLS_TOL = 1e-12
 
 
 def default_control_hams() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,9 +126,9 @@ class TwoQubitModel:
         """Jump operators embedded on the composite space as ``ell x I_2``."""
         return [tensor(ell, IDENTITY_2) for ell in self.jumps]
 
-    def has_default_controls(self, tol: float = 1e-12) -> bool:
+    def has_default_controls(self) -> bool:
         return all(
-            np.max(np.abs(h - pauli(i + 1))) <= tol
+            np.max(np.abs(h - pauli(i + 1))) <= _DEFAULT_CONTROLS_TOL
             for i, h in enumerate(self.control_hams)
         )
 

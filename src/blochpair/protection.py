@@ -14,6 +14,12 @@ dispersive and resonant couplings are provided as transcription
 oracles, and the case-study tooling (invariant submanifolds,
 dissipation compatibility, the protecting control law and the reduced
 B dynamics) lives here as well.
+
+The reports evaluate stacks of factorized states built by
+:func:`~blochpair.coherence.factorized_states`.  Reports that scan
+several control values form every ``M(u) = M0 + sum_j u_j Mc[j]`` from
+one :func:`~blochpair.generator.control_generators` split in a single
+contraction instead of assembling a generator per value.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import VA, VAB, VB, BlochVector, embed_factorized
+from .coherence import VA, VAB, VB, BlochVector, embed_factorized, factorized_states
 from .dynamics import ControlLaw, Trajectory, integrate
-from .generator import dissipator_blocks, generator, t_matrices
+from .generator import control_generators, dissipator_blocks, generator, t_matrices
 from .model import TwoQubitModel
 
 __all__ = [
@@ -51,6 +57,18 @@ COUPLING_TAGS = ("dispersive", "resonant", "sigma3-sigma1")
 
 #: residual threshold of the amplitude-damping compatibility condition
 COMPATIBILITY_TOL = 1e-10
+#: control offset of the transcription comparison model
+_TRANSCRIPTION_U = (0.4, -0.3, 0.6)
+#: control values at which the dispersive zero pattern is checked
+_ZERO_PATTERN_U = np.array([[0.0, 0.0, 0.0], [1.3, -0.7, 0.4], [-2.0, 2.0, 1.0]])
+#: drift norm at or below which the obstruction sweep counts a zero
+_DRIFT_TOL = 1e-9
+#: factorized states per drift evaluation in the obstruction sweep; chunks
+#: this small keep each temporary near 0.5 MB, so the allocator reuses its
+#: memory instead of mapping and faulting in fresh pages on every chunk
+_SWEEP_CHUNK = 4096
+#: largest ``|u_j|`` on the control grid of the axis-1 escape report
+_AXIS1_BOUND = 2.0
 
 
 @dataclass(frozen=True)
@@ -141,17 +159,11 @@ def drift_batch(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
     """
     vas = np.atleast_2d(vas)
     vbs = np.atleast_2d(vbs)
-    n = vas.shape[0]
-    states = np.empty((n, 16))
-    states[:, 0] = 0.5
-    states[:, VA] = vas
-    states[:, VAB] = 2.0 * np.einsum("ni,nj->nij", vas, vbs).reshape(n, 9)
-    states[:, VB] = vbs
-    rates = states @ m.T
+    rates = factorized_states(vas, vbs) @ m.T
     coupled = np.einsum("ni,nj->nij", rates[:, VA], vbs) + np.einsum(
         "ni,nj->nij", vas, rates[:, VB]
     )
-    return rates[:, VAB] - 2.0 * coupled.reshape(n, 9)
+    return rates[:, VAB] - 2.0 * coupled.reshape(-1, 9)
 
 
 def factorization_drift(model: TwoQubitModel, state: FactorizedState, u) -> np.ndarray:
@@ -225,7 +237,6 @@ def transcription_report(
     omega_a: float = 0.7,
     omega_b: float = 1.3,
     jumps=None,
-    u=(0.4, -0.3, 0.6),
 ) -> dict:
     """Compare closed-form and generator-route drifts on random states.
 
@@ -241,7 +252,7 @@ def transcription_report(
     rng = np.random.default_rng(seed)
     vas, vbs = random_factorized_states(rng, n_samples)
     model = make_model(coupling, omega_a, omega_b, jumps)
-    m = generator(model, np.asarray(u, dtype=float))
+    m = generator(model, _TRANSCRIPTION_U)
     numeric = drift_batch(m, vas, vbs)
     closed = _closed_form_drift_arrays(coupling, vas, vbs)
     residuals = np.max(np.abs(numeric - closed), axis=1)
@@ -343,21 +354,18 @@ _Z2_INDICES = np.array([4, 5, 7, 8, 10, 11, 13, 14])
 _NON_Z2_COLUMNS = np.array([c for c in range(16) if c not in set(_Z2_INDICES.tolist())])
 
 
-def dispersive_zero_pattern(model: TwoQubitModel, u_samples=None) -> float:
+def dispersive_zero_pattern(model: TwoQubitModel) -> float:
     """Largest generator entry coupling the pinned block to the rest.
 
     For a dispersive coupling the rows of the pinned coordinates must
     have exactly zero entries against every other column (including the
     affine one), for every control value and any dissipation; the
-    returned magnitude is the worst violation over ``u_samples``.
+    returned magnitude is the worst violation over three sample
+    controls.
     """
-    if u_samples is None:
-        u_samples = [np.zeros(3), np.array([1.3, -0.7, 0.4]), np.array([-2.0, 2.0, 1.0])]
-    worst = 0.0
-    for u in u_samples:
-        m = generator(model, u)
-        worst = max(worst, float(np.max(np.abs(m[np.ix_(_Z2_INDICES, _NON_Z2_COLUMNS)]))))
-    return worst
+    m0, mc = control_generators(model)
+    m = m0 + np.einsum("sj,jkl->skl", _ZERO_PATTERN_U, mc)
+    return float(np.max(np.abs(m[:, _Z2_INDICES[:, None], _NON_Z2_COLUMNS])))
 
 
 def dispersive_invariant_report(
@@ -428,8 +436,6 @@ def resonant_obstruction_report(
     n_random: int = 10_000,
     seed: int = 0,
     model: TwoQubitModel | None = None,
-    drift_tol: float = 1e-9,
-    chunk: int = 400_000,
 ) -> dict:
     """Sweep the factorized constraint set of the resonant coupling.
 
@@ -480,7 +486,7 @@ def resonant_obstruction_report(
         w = drift_batch(m, vas, vbs)
         wnorm = np.linalg.norm(w, axis=1)
         va_norm = np.sqrt(np.einsum("ij,ij->i", vas, vas))
-        mask = wnorm <= drift_tol
+        mask = wnorm <= _DRIFT_TOL
         if np.any(mask):
             zero_count += int(np.sum(mask))
             idx = np.argmin(va_norm[mask])
@@ -496,7 +502,7 @@ def resonant_obstruction_report(
             )
 
     n_vb = vb_grid.shape[0]
-    rows_per_chunk = max(1, chunk // max(n_vb, 1))
+    rows_per_chunk = max(1, _SWEEP_CHUNK // max(n_vb, 1))
     for start in range(0, va_grid.shape[0], rows_per_chunk):
         block = va_grid[start : start + rows_per_chunk]
         vas = np.repeat(block, n_vb, axis=0)
@@ -513,7 +519,7 @@ def resonant_obstruction_report(
         "grid_step": float(grid_step),
         "n_random": int(n_random),
         "seed": int(seed),
-        "drift_tol": float(drift_tol),
+        "drift_tol": _DRIFT_TOL,
         "n_drift_zero_points": zero_count,
         "min_va_norm_at_zero": None if zero_count == 0 else min_norm_at_zero,
         "worst_zero_point": worst_point,
@@ -527,7 +533,6 @@ def resonant_obstruction_report(
 
 def axis1_escape_report(
     model: TwoQubitModel,
-    bound: float = 2.0,
     n_levels: int = 5,
     seed: int = 0,
     n_states: int = 20,
@@ -545,26 +550,18 @@ def axis1_escape_report(
     """
     rng = np.random.default_rng(seed)
     vas, _ = random_factorized_states(rng, n_states)
-    levels = np.linspace(-bound, bound, n_levels)
+    levels = np.linspace(-_AXIS1_BOUND, _AXIS1_BOUND, n_levels)
     grid = np.array(np.meshgrid(levels, levels, levels, indexing="ij")).reshape(3, -1).T
-    min_rate = np.inf
-    for sign in (1, -1):
-        vb = np.array([0.5 * sign, 0.0, 0.0])
-        for u in grid:
-            m = generator(model, u)
-            states = np.empty((n_states, 16))
-            states[:, 0] = 0.5
-            states[:, VA] = vas
-            states[:, VAB] = 2.0 * np.einsum("ni,j->nij", vas, vb).reshape(n_states, 9)
-            states[:, VB] = vb
-            rates = states @ m.T
-            escape = np.linalg.norm(rates[:, [14, 15]], axis=1)
-            min_rate = min(min_rate, float(np.min(escape)))
+    m0, mc = control_generators(model)
+    pole_rows = (m0 + np.einsum("gj,jkl->gkl", grid, mc))[:, 14:16].reshape(-1, 16)
+    poles = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    states = factorized_states(vas[None, :, :], poles[:, None, :]).reshape(-1, 16)
+    rates = (states @ pole_rows.T).reshape(len(states), len(grid), 2)  # rows vB2, vB3
     return {
-        "min_escape_rate": min_rate,
+        "min_escape_rate": float(np.min(np.linalg.norm(rates, axis=-1))),
         "omega_b": model.omega_b,
         "expected_rate": abs(model.omega_b),
-        "control_bound": float(bound),
+        "control_bound": _AXIS1_BOUND,
         "note": "rate vanishes iff omega_b = 0; the exclusion is first-order only",
     }
 

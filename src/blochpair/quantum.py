@@ -90,41 +90,36 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIGENVALUE_FLOOR,
-) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix and return it as a complex array.
 
     Raises
     ------
     ValueError
-        If ``rho`` is not square, not Hermitian within ``herm_tol``, has
-        trace away from one by more than ``trace_tol``, or has an
-        eigenvalue below ``eig_floor``.
+        If ``rho`` is not square, not Hermitian within
+        :data:`HERMITICITY_TOL`, has trace away from one by more than
+        :data:`TRACE_TOL`, or has an eigenvalue below
+        :data:`EIGENVALUE_FLOOR`.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
-    if defect > herm_tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < eig_floor:
+    if eigs.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
     return rho
 
 
-def is_density_matrix(rho: np.ndarray, **tols) -> bool:
+def is_density_matrix(rho: np.ndarray) -> bool:
     """Boolean companion of :func:`validate_density_matrix`."""
     try:
-        validate_density_matrix(rho, **tols)
+        validate_density_matrix(rho)
     except ValueError:
         return False
     return True

@@ -227,6 +227,29 @@ def test_simulate_non_finite_model_is_numerical_error(damping_model_path, tmp_pa
     assert json.loads(err)["error"]["code"] == 3
 
 
+def test_simulate_non_finite_control_file_is_config_error(damping_model_path, tmp_path, capsys):
+    control = tmp_path / "nan_control.json"
+    doc = {"times": [0.0, float("nan")], "values": [[0, 0, 0], [0.9, 0, 0]], "bound": 1.0}
+    control.write_text(json.dumps(doc))  # written as the JSON token NaN
+    code, stdout, err = run_cli(
+        [
+            "simulate",
+            "--model",
+            damping_model_path,
+            "--horizon",
+            "1",
+            "--control",
+            f"piecewise:{control}",
+            "--out",
+            tmp_path / "t.csv",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"]["code"] == 2
+
+
 def test_analyze_w_dispersive(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, stdout, _ = run_cli(

@@ -10,6 +10,7 @@ from blochpair.coherence import (
     ab_slot,
     embed_factorized,
     factorization_residual,
+    factorized_states,
     from_coherence,
     is_density_image,
     is_factorized,
@@ -154,6 +155,16 @@ def test_embed_factorized_round_trip(rng):
     assert factorization_residual(v) == 0.0
     np.testing.assert_allclose(reduced_bloch_a(v), va)
     np.testing.assert_allclose(reduced_bloch_b(v), vb)
+    vas, vbs = rng.uniform(-0.3, 0.3, (2, 7, 3))
+    stacked = factorized_states(vas, vbs)
+    assert stacked.shape == (7, 16)
+    for row, va, vb in zip(stacked, vas, vbs):
+        np.testing.assert_array_equal(row, embed_factorized(va, vb).as_array())
+        by_hand = np.concatenate([[0.5], va, 2.0 * np.outer(va, vb).ravel(), vb])
+        np.testing.assert_array_equal(row, by_hand)
+    # one vB broadcasts against every vA, and stacks nest over leading axes
+    np.testing.assert_array_equal(factorized_states(vas, vbs[0]), factorized_states(vas, np.tile(vbs[0], (7, 1))))
+    np.testing.assert_array_equal(factorized_states(vas[None], vbs[:2, None])[1], factorized_states(vas, vbs[1]))
 
 
 def test_physicality_defect(rng):

@@ -48,6 +48,21 @@ def test_control_law_constructors():
     np.testing.assert_allclose(sampled(1.0), [0.5, 0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ControlLaw.piecewise_constant([0.0, math.nan], [[0, 0, 0], [0.9, 0, 0]], bound=1.0),
+        lambda: ControlLaw.sampled([0.0, math.nan, 2.0], np.zeros((3, 3))),
+        lambda: ControlLaw.piecewise_constant([0.0, 1.0], [[0, 0, 0], [math.inf, 0, 0]]),
+        lambda: ControlLaw.piecewise_constant([0.0], [[0.5, 0, 0]], bound=math.nan),
+    ],
+    ids=["nan-breakpoint", "nan-sample-time", "inf-value", "nan-bound"],
+)
+def test_control_law_rejects_non_finite_inputs(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_feedback_bound_enforced():
     law = ControlLaw.feedback(lambda t, v: np.array([3.0, 0.0, 0.0]), bound=1.0)
     model = closed_model()

@@ -26,6 +26,7 @@ from blochpair.protection import (
     transcription_report,
 )
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
+from conftest import random_model
 
 ZERO_U = np.zeros(3)
 
@@ -129,6 +130,17 @@ def test_closed_form_rejects_sigma31():
         closed_form_drift(Coupling("sigma3-sigma1", 1.0), s)
 
 
+def test_drift_batch_matches_hand_built_states(rng):
+    m = generator(random_model(rng), rng.uniform(-1, 1, 3))
+    vas, vbs = random_factorized_states(rng, 50)
+    states = np.array(
+        [np.concatenate([[0.5], va, 2.0 * np.outer(va, vb).ravel(), vb]) for va, vb in zip(vas, vbs)]
+    )
+    rates = states @ m.T
+    coupled = np.einsum("ni,nj->nij", rates[:, 1:4], vbs) + np.einsum("ni,nj->nij", vas, rates[:, 13:16])
+    np.testing.assert_array_equal(drift_batch(m, vas, vbs), rates[:, 4:13] - 2.0 * coupled.reshape(-1, 9))
+
+
 def test_drift_independent_of_locals_controls_noise(rng):
     coupling = Coupling("resonant", 1.1)
     vas, vbs = random_factorized_states(rng, 40)
@@ -155,6 +167,19 @@ def test_drift_independent_of_locals_controls_noise(rng):
 def test_dispersive_zero_pattern_structural():
     model = make_model(Coupling("dispersive", 0.8), 0.9, 1.2, (SIGMA_MINUS,))
     assert dispersive_zero_pattern(model) == 0.0
+
+
+@pytest.mark.parametrize("tag", ["dispersive", "resonant"])
+def test_dispersive_zero_pattern_matches_per_sample_loop(tag):
+    model = make_model(Coupling(tag, 0.8), 0.9, 1.2, (SIGMA_MINUS, pauli(3) / 3))
+    u_samples = ([0.0, 0.0, 0.0], [1.3, -0.7, 0.4], [-2.0, 2.0, 1.0])
+    pinned = [4, 5, 7, 8, 10, 11, 13, 14]
+    rest = [c for c in range(16) if c not in pinned]
+    expected = max(
+        np.max(np.abs(generator(model, np.array(u))[np.ix_(pinned, rest)])) for u in u_samples
+    )
+    assert (expected == 0.0) == (tag == "dispersive")
+    assert dispersive_zero_pattern(model) == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 def test_dispersive_invariance_under_control_and_damping(rng):
@@ -328,6 +353,44 @@ def test_axis1_branch_escape_rate():
     frozen = compatible_sigma31_model(omega_b=0.0)
     report0 = axis1_escape_report(frozen, n_levels=3, n_states=10, seed=2)
     assert report0["min_escape_rate"] == pytest.approx(0.0, abs=1e-12)
+
+
+def axis1_escape_reference(model, seed):
+    """The default escape report as one generator and one state at a time."""
+    vas, _ = random_factorized_states(np.random.default_rng(seed), 20)
+    levels = np.linspace(-2.0, 2.0, 5)
+    rates = []
+    for sign in (1, -1):
+        vb = np.array([0.5 * sign, 0.0, 0.0])
+        for u in np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1).T:
+            m = generator(model, u)
+            for va in vas:
+                state = np.concatenate([[0.5], va, 2.0 * np.outer(va, vb).ravel(), vb])
+                rates.append(np.linalg.norm((m @ state)[[14, 15]]))
+    return min(rates)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        compatible_sigma31_model(),
+        compatible_sigma31_model(omega_b=0.0),
+        TwoQubitModel(
+            0.3,
+            -0.8,
+            Coupling("sigma3-sigma1", 0.9).lambda_matrix() + 0.2,
+            (SIGMA_MINUS,),
+            (pauli(1) + 0.3 * pauli(3), 0.7 * pauli(2) - 0.2 * pauli(1), 1.4 * pauli(3)),
+        ),
+    ],
+    ids=["sigma31", "omega_b=0", "non-pauli-controls"],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_axis1_escape_report_matches_per_control_loop(model, seed):
+    report = axis1_escape_report(model, seed=seed)
+    expected = axis1_escape_reference(model, seed)
+    assert report["min_escape_rate"] == pytest.approx(expected, rel=0, abs=1e-15)
+    assert report["control_bound"] == 2.0
 
 
 def test_axis1_drift_vanishes_but_dynamics_escape(rng):
