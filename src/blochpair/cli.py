@@ -134,7 +134,7 @@ def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | Non
                 ControlLaw.piecewise_constant if kind == "piecewise" else ControlLaw.sampled
             )
             return ctor(doc["times"], doc["values"], bound=doc.get("bound")), None
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CliConfigError(f"invalid control file {path}: {exc}") from exc
     if spec == "feedback:protect-sigma31":
         for target in (0.5, -0.5):

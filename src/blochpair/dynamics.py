@@ -82,8 +82,9 @@ class ControlLaw:
     grid; sampled laws interpolate linearly between samples;
     state-feedback laws call ``callback(t, v)`` with the current
     16-component coherence vector.  If ``bound`` is set, every evaluated
-    value must satisfy ``max|u_i| <= bound``.  The piecewise-constant and
-    sampled constructors require finite times, values and bound.
+    value must satisfy ``max|u_i| <= bound``, which must be finite.  The
+    piecewise-constant and sampled constructors require finite times and
+    values.
     """
 
     kind: str
@@ -91,6 +92,10 @@ class ControlLaw:
     values: np.ndarray | None = None
     callback: Callable | None = None
     bound: float | None = None
+
+    def __post_init__(self):
+        if self.bound is not None and not np.isfinite(self.bound):
+            raise ValueError(f"control bound must be finite, got {self.bound}")
 
     @classmethod
     def constant(cls, u, bound: float | None = None) -> "ControlLaw":
@@ -120,8 +125,6 @@ class ControlLaw:
             raise ValueError("need one control value per time, at least one")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("control times and values must be finite")
-        if bound is not None and not np.isfinite(bound):
-            raise ValueError(f"control bound must be finite, got {bound}")
         if np.any(np.diff(times) <= 0):
             raise ValueError("control times must be strictly increasing")
         law = cls(kind, times=times, values=values, bound=bound)

@@ -20,6 +20,15 @@ The reports evaluate stacks of factorized states built by
 several control values form every ``M(u) = M0 + sum_j u_j Mc[j]`` from
 one :func:`~blochpair.generator.control_generators` split in a single
 contraction instead of assembling a generator per value.
+
+The obstruction sweep never builds the states of its ``vA`` x ``vB``
+grid.  For a fixed generator and a fixed ``vA`` the drift is a
+polynomial of degree 2 in ``vB``, so the sweep reads per-``vA``
+coefficients ``(n_vA, 9, 10)`` off the generator columns and multiplies
+them, a chunk of ``vA`` rows at a time, with one table of the ``vB``
+monomials ``1, b1, b2, b3, b_j b_k`` (``j <= k``) of the grid.
+:func:`drift_batch` stays the per-pair evaluator: the sweep's random
+pairs, the transcription oracle and the tests use it.
 """
 
 from __future__ import annotations
@@ -63,8 +72,8 @@ _TRANSCRIPTION_U = (0.4, -0.3, 0.6)
 _ZERO_PATTERN_U = np.array([[0.0, 0.0, 0.0], [1.3, -0.7, 0.4], [-2.0, 2.0, 1.0]])
 #: drift norm at or below which the obstruction sweep counts a zero
 _DRIFT_TOL = 1e-9
-#: factorized states per drift evaluation in the obstruction sweep; chunks
-#: this small keep each temporary near 0.5 MB, so the allocator reuses its
+#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows); chunks
+#: this small keep each temporary near 0.3 MB, so the allocator reuses its
 #: memory instead of mapping and faulting in fresh pages on every chunk
 _SWEEP_CHUNK = 4096
 #: largest ``|u_j|`` on the control grid of the axis-1 escape report
@@ -164,6 +173,42 @@ def drift_batch(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
         "ni,nj->nij", vas, rates[:, VB]
     )
     return rates[:, VAB] - 2.0 * coupled.reshape(-1, 9)
+
+
+#: index pairs ``(j, k)``, ``j <= k``, of the quadratic ``vB`` monomials
+_QUAD_J, _QUAD_K = np.triu_indices(3)
+
+
+def _monomials(vbs: np.ndarray) -> np.ndarray:
+    """(10, n) table ``1, b1, b2, b3, b_j b_k (j <= k)`` of the ``vB`` rows ``vbs``."""
+    return np.vstack([np.ones(len(vbs)), vbs.T, (vbs[:, _QUAD_J] * vbs[:, _QUAD_K]).T])
+
+
+def _drift_coefficients(m: np.ndarray, vas: np.ndarray) -> np.ndarray:
+    """(n, 9, 10) coefficients of the drift in the :func:`_monomials` of ``vB``.
+
+    For a fixed generator ``m`` and a fixed ``vA`` the rates of the state
+    ``(1/2, vA, 2 vA (x) vB, vB)`` are affine in ``vB``, ``r0 + r1 vB``,
+    with ``r0`` and ``r1`` read off the generator columns.  The drift of
+    :func:`drift_batch`, ``r[VAB] - 2 r[VA] (x) vB - 2 vA (x) r[VB]``, is
+    then a polynomial of degree 2 in ``vB``, and ``coef[n] @ _monomials(vbs)``
+    is its value at ``vas[n]`` and every row of ``vbs``.
+    """
+    n = len(vas)
+    r0 = 0.5 * m[:, 0] + vas @ m[:, VA].T  # (n, 16)
+    m_ab = m[:, VAB].reshape(16, 3, 3).transpose(1, 0, 2).reshape(3, 48)  # [i, (row, j)]
+    r1 = 2.0 * (vas @ m_ab).reshape(n, 16, 3) + m[:, VB]  # [n, row, k]: d r[row] / d b_k
+    coef = np.zeros((n, 3, 3, 10))  # [n, A index i, B index j, monomial]
+    coef[..., 0] = r0[:, VAB].reshape(n, 3, 3) - 2.0 * vas[:, :, None] * r0[:, None, VB]
+    coef[..., 1:4] = r1[:, VAB].reshape(n, 3, 3, 3) - 2.0 * vas[:, :, None, None] * r1[:, None, VB]
+    rate_a = r1[:, VA]  # [n, i, k]
+    for k in range(3):
+        coef[:, :, k, 1 + k] -= 2.0 * r0[:, VA]
+    for col, (j, k) in enumerate(zip(_QUAD_J, _QUAD_K), start=4):
+        coef[:, :, k, col] -= 2.0 * rate_a[:, :, j]
+        if j != k:
+            coef[:, :, j, col] -= 2.0 * rate_a[:, :, k]
+    return coef.reshape(n, 9, 10)
 
 
 def factorization_drift(model: TwoQubitModel, state: FactorizedState, u) -> np.ndarray:
@@ -430,6 +475,13 @@ def _affine_solution_set(d_hat: np.ndarray, v0: np.ndarray) -> dict:
     }
 
 
+def _drift_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row ``r`` of the drifts ``w[r, :, c]``: zero count, first zero, smallest norm."""
+    wnorm = np.sqrt(np.einsum("rkc,rkc->rc", w, w))
+    zero = wnorm <= _DRIFT_TOL
+    return np.count_nonzero(zero, axis=1), np.argmax(zero, axis=1), np.min(wnorm, axis=1)
+
+
 def resonant_obstruction_report(
     g: float,
     grid_step: float = 0.05,
@@ -449,7 +501,12 @@ def resonant_obstruction_report(
     Part (b): solve ``v0 / 2 + d_hat vA = 0`` for the supplied model's
     dissipation and report whether any solution has norm ``1/2`` (the
     only way full purity can survive the noise).
+
+    ``grid_step`` must be finite, positive and small enough that some
+    point of the ``vA`` grid lies in the ball.
     """
+    if not (np.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be finite and > 0, got {grid_step}")
     coupling = Coupling("resonant", g)
     if model is None:
         from .quantum import SIGMA_MINUS
@@ -461,6 +518,8 @@ def resonant_obstruction_report(
     ga, gb, gc = np.meshgrid(axis, axis, axis, indexing="ij")
     va_grid = np.column_stack([ga.ravel(), gb.ravel(), gc.ravel()])
     va_grid = va_grid[np.einsum("ij,ij->i", va_grid, va_grid) <= 0.25 + 1e-12]
+    if len(va_grid) == 0:
+        raise ValueError(f"grid_step {grid_step} puts no vA grid point in the ball |vA| <= 1/2")
 
     theta = np.arange(0.0, np.pi + grid_step / 2.0, grid_step)
     phi = np.arange(0.0, 2.0 * np.pi, grid_step)
@@ -476,39 +535,29 @@ def resonant_obstruction_report(
     rng = np.random.default_rng(seed)
     va_rand, vb_rand = random_factorized_states(rng, n_random)
 
-    zero_count = 0
-    min_norm_at_zero = np.inf
-    worst_point = None
-    smallest_drift_offsphere = np.inf
+    # random pairs are not a product grid: rows of one pair each, which
+    # come last below; evaluated first, so that their temporaries are
+    # freed before the grid's coefficients exist
+    rand_rows = _drift_rows(drift_batch(m, va_rand, vb_rand)[:, :, None])
+    # grid pairs: per chunk of vA rows, one (rows, 9, n_vB) product of the
+    # per-vA coefficients and the vB monomial table
+    mono = _monomials(vb_grid)
+    coef = _drift_coefficients(m, va_grid)
+    rows_per_chunk = max(1, _SWEEP_CHUNK // len(vb_grid))
+    parts = [
+        _drift_rows(coef[start : start + rows_per_chunk] @ mono)
+        for start in range(0, len(va_grid), rows_per_chunk)
+    ]
+    parts.append(rand_rows)
+    n_zero, first_zero, row_min = (np.concatenate(x) for x in zip(*parts))
+    vas = np.concatenate([va_grid, va_rand])
+    vbs = np.concatenate([vb_grid[first_zero[: len(va_grid)]], vb_rand])
 
-    def scan(vas, vbs):
-        nonlocal zero_count, min_norm_at_zero, worst_point, smallest_drift_offsphere
-        w = drift_batch(m, vas, vbs)
-        wnorm = np.linalg.norm(w, axis=1)
-        va_norm = np.sqrt(np.einsum("ij,ij->i", vas, vas))
-        mask = wnorm <= _DRIFT_TOL
-        if np.any(mask):
-            zero_count += int(np.sum(mask))
-            idx = np.argmin(va_norm[mask])
-            cand = va_norm[mask][idx]
-            if cand < min_norm_at_zero:
-                min_norm_at_zero = float(cand)
-                sel = np.flatnonzero(mask)[idx]
-                worst_point = {"va": vas[sel].tolist(), "vb": vbs[sel].tolist()}
-        off = va_norm < 0.5 - 1e-6
-        if np.any(off):
-            smallest_drift_offsphere = min(
-                smallest_drift_offsphere, float(np.min(wnorm[off]))
-            )
-
-    n_vb = vb_grid.shape[0]
-    rows_per_chunk = max(1, _SWEEP_CHUNK // max(n_vb, 1))
-    for start in range(0, va_grid.shape[0], rows_per_chunk):
-        block = va_grid[start : start + rows_per_chunk]
-        vas = np.repeat(block, n_vb, axis=0)
-        vbs = np.tile(vb_grid, (block.shape[0], 1))
-        scan(vas, vbs)
-    scan(va_rand, vb_rand)
+    # ties go to the first row, in the order above, and its first zero
+    va_norm = np.sqrt(np.einsum("ij,ij->i", vas, vas))
+    hit = np.flatnonzero(n_zero)
+    worst = hit[np.argmin(va_norm[hit])] if hit.size else None
+    off_sphere = va_norm < 0.5 - 1e-6
 
     d_hat, v0 = dissipator_blocks(model.jumps)
     solve = _affine_solution_set(d_hat, v0)
@@ -520,10 +569,12 @@ def resonant_obstruction_report(
         "n_random": int(n_random),
         "seed": int(seed),
         "drift_tol": _DRIFT_TOL,
-        "n_drift_zero_points": zero_count,
-        "min_va_norm_at_zero": None if zero_count == 0 else min_norm_at_zero,
-        "worst_zero_point": worst_point,
-        "min_drift_off_sphere": smallest_drift_offsphere,
+        "n_drift_zero_points": int(np.sum(n_zero)),
+        "min_va_norm_at_zero": None if worst is None else float(va_norm[worst]),
+        "worst_zero_point": (
+            None if worst is None else {"va": vas[worst].tolist(), "vb": vbs[worst].tolist()}
+        ),
+        "min_drift_off_sphere": float(np.min(row_min[off_sphere], initial=np.inf)),
         "purity_fixed_point": solve,
     }
 

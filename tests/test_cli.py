@@ -250,6 +250,29 @@ def test_simulate_non_finite_control_file_is_config_error(damping_model_path, tm
     assert json.loads(err)["error"]["code"] == 2
 
 
+def test_simulate_mistyped_control_file_is_config_error(damping_model_path, tmp_path, capsys):
+    control = tmp_path / "typed_control.json"
+    doc = {"times": [0.0, 0.5], "values": [[0, 0, 0], [0.9, 0, 0]], "bound": "1"}
+    control.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(
+        [
+            "simulate",
+            "--model",
+            damping_model_path,
+            "--horizon",
+            "1",
+            "--control",
+            f"piecewise:{control}",
+            "--out",
+            tmp_path / "t.csv",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"]["code"] == 2
+
+
 def test_analyze_w_dispersive(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, stdout, _ = run_cli(
@@ -286,6 +309,18 @@ def test_analyze_w_resonant_with_sweep(tmp_path, capsys):
     doc = json.loads(out.read_text())
     sweep = doc["obstruction"]
     assert sweep["min_va_norm_at_zero"] is None or sweep["min_va_norm_at_zero"] >= 0.5 - 1e-6
+
+
+@pytest.mark.parametrize("grid_step", ["0", "-0.1"])
+def test_analyze_w_rejects_empty_grid_step(grid_step, tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code, stdout, err = run_cli(
+        ["analyze-w", "--case", "resonant", "--grid-step", grid_step, "--out", out], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "grid_step" in json.loads(err)["error"]["message"]
+    assert not out.exists()
 
 
 def test_analyze_w_sigma31(tmp_path, capsys):

@@ -55,8 +55,9 @@ def test_control_law_constructors():
         lambda: ControlLaw.sampled([0.0, math.nan, 2.0], np.zeros((3, 3))),
         lambda: ControlLaw.piecewise_constant([0.0, 1.0], [[0, 0, 0], [math.inf, 0, 0]]),
         lambda: ControlLaw.piecewise_constant([0.0], [[0.5, 0, 0]], bound=math.nan),
+        lambda: ControlLaw.feedback(lambda t, v: np.array([5.0, 0.0, 0.0]), bound=math.nan),
     ],
-    ids=["nan-breakpoint", "nan-sample-time", "inf-value", "nan-bound"],
+    ids=["nan-breakpoint", "nan-sample-time", "inf-value", "nan-bound", "nan-feedback-bound"],
 )
 def test_control_law_rejects_non_finite_inputs(make):
     with pytest.raises(ValueError, match="finite"):

@@ -10,6 +10,8 @@ from blochpair.protection import (
     Coupling,
     FactorizedState,
     IncompatibleDissipationError,
+    _drift_coefficients,
+    _monomials,
     axis1_escape_report,
     closed_form_drift,
     compatibility,
@@ -304,6 +306,70 @@ def test_resonant_obstruction_small_sweep():
     assert fixed["kind"] == "point"
     assert fixed["has_norm_half"]
     np.testing.assert_allclose(fixed["solution"], [0.0, 0.0, -0.5], atol=1e-9)
+
+
+@pytest.mark.parametrize("tag", ["dispersive", "resonant", "sigma3-sigma1"])
+def test_drift_coefficients_match_drift_batch_on_product_grids(tag, rng):
+    # coefficients x vB monomials against the per-pair route; float64
+    # rounding of O(1) drift entries stays far below 1e-14
+    model = make_model(Coupling(tag, 0.8), 0.7, 1.3, (SIGMA_MINUS, 0.3 * pauli(3)))
+    m = generator(model, np.array([0.4, -0.9, 1.2]))
+    for n_va, n_vb in [(1, 1), (7, 50), (40, 13)]:
+        vas, _ = random_factorized_states(rng, n_va)
+        _, vbs = random_factorized_states(rng, n_vb)
+        w = _drift_coefficients(m, vas) @ _monomials(vbs)  # (n_va, 9, n_vb)
+        direct = drift_batch(m, np.repeat(vas, n_vb, axis=0), np.tile(vbs, (n_va, 1)))
+        assert np.max(np.abs(w.transpose(0, 2, 1).reshape(-1, 9) - direct)) <= 1e-14
+
+
+def obstruction_sweep_reference(g, grid_step, n_random, seed):
+    """The report's sweep as chunks of per-pair drift_batch calls."""
+    model = make_model(Coupling("resonant", g), 0.9, 1.1, (SIGMA_MINUS,))
+    m = generator(model, np.array([0.3, -0.2, 0.1]))
+    axis = np.arange(-0.5, 0.5 + grid_step / 2.0, grid_step)
+    va_grid = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1).T
+    va_grid = va_grid[np.einsum("ij,ij->i", va_grid, va_grid) <= 0.25 + 1e-12]
+    theta = np.arange(0.0, np.pi + grid_step / 2.0, grid_step)
+    phi = np.arange(0.0, 2.0 * np.pi, grid_step)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    vb_grid = 0.5 * np.column_stack(
+        [(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()]
+    )
+    chunks = [
+        (np.repeat(block, len(vb_grid), axis=0), np.tile(vb_grid, (len(block), 1)))
+        for block in np.array_split(va_grid, range(2, len(va_grid), 2))
+    ]
+    chunks.append(random_factorized_states(np.random.default_rng(seed), n_random))
+    zeros, min_norm, worst, min_off = 0, np.inf, None, np.inf
+    for vas, vbs in chunks:
+        wnorm = np.linalg.norm(drift_batch(m, vas, vbs), axis=1)
+        va_norm = np.linalg.norm(vas, axis=1)
+        for k in np.flatnonzero(wnorm <= 1e-9):
+            zeros += 1
+            if va_norm[k] < min_norm:
+                min_norm, worst = va_norm[k], {"va": vas[k].tolist(), "vb": vbs[k].tolist()}
+        off = va_norm < 0.5 - 1e-6
+        if np.any(off):
+            min_off = min(min_off, np.min(wnorm[off]))
+    return zeros, min_norm, worst, min_off
+
+
+@pytest.mark.parametrize("grid_step", [0.125, 0.25])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_resonant_obstruction_report_matches_drift_batch_sweep(grid_step, seed):
+    report = resonant_obstruction_report(0.7, grid_step=grid_step, n_random=2000, seed=seed)
+    zeros, min_norm, worst, min_off = obstruction_sweep_reference(0.7, grid_step, 2000, seed)
+    assert zeros > 0
+    assert report["n_drift_zero_points"] == zeros
+    assert report["min_va_norm_at_zero"] == min_norm
+    assert report["worst_zero_point"] == worst
+    assert report["min_drift_off_sphere"] == pytest.approx(min_off, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("grid_step", [0.0, -0.1, np.nan, np.inf, 1.0])
+def test_resonant_obstruction_rejects_grid_steps_that_sweep_nothing(grid_step):
+    with pytest.raises(ValueError, match="grid_step"):
+        resonant_obstruction_report(0.7, grid_step=grid_step, n_random=10)
 
 
 def test_resonant_fixed_point_off_sphere_with_tilted_noise():
