@@ -8,7 +8,6 @@ reduced state of the second one (B) can be kept pure.
 __version__ = "0.1.0"
 
 from .coherence import (
-    BlochVector,
     embed_factorized,
     factorization_residual,
     from_coherence,
@@ -16,8 +15,6 @@ from .coherence import (
     is_factorized,
     lambda_basis,
     physicality_defect,
-    reduced_bloch_a,
-    reduced_bloch_b,
     to_coherence,
 )
 from .dynamics import (

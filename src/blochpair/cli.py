@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coherence import factorized_states
+from .coherence import embed_factorized
 from .dynamics import (
     ControlLaw,
     PhysicalityError,
@@ -47,6 +47,7 @@ from .protection import (
     compatibility,
     make_model,
     protecting_law,
+    require_coupling,
     resonant_obstruction_report,
     transcription_report,
 )
@@ -102,7 +103,7 @@ def _load_model_arg(path: str) -> TwoQubitModel:
 
 def _initial_state(spec: str) -> np.ndarray:
     if spec == "mixed":
-        return factorized_states(np.zeros(3), np.zeros(3))
+        return embed_factorized(np.zeros(3), np.zeros(3))
     if spec.startswith("product:"):
         try:
             va_text, vb_text = spec[len("product:") :].split(":")
@@ -112,7 +113,7 @@ def _initial_state(spec: str) -> np.ndarray:
             ) from exc
         va = _parse_triple(va_text, "--v0")
         vb = _parse_triple(vb_text, "--v0")
-        return factorized_states(va, vb)
+        return embed_factorized(va, vb)
     raise CliConfigError(f"unknown --v0 specification {spec!r}")
 
 
@@ -137,10 +138,11 @@ def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | Non
         except (KeyError, TypeError, ValueError) as exc:
             raise CliConfigError(f"invalid control file {path}: {exc}") from exc
     if spec == "feedback:protect-sigma31":
+        require_coupling(model, Coupling("sigma3-sigma1", model.lam[2, 0]))
         for target in (0.5, -0.5):
             ok, _ = compatibility(model, target)
             if ok:
-                start = factorized_states([0.0, 0.0, target], [0.0, 0.0, 0.5])
+                start = embed_factorized([0.0, 0.0, target], [0.0, 0.0, 0.5])
                 return protecting_law(model, target), start
         raise CliConfigError(
             "protect-sigma31 requires dissipation compatible with vA3 = +1/2 or -1/2 "
@@ -158,8 +160,6 @@ def _cmd_simulate(args) -> int:
         v0 = suggested_start
     else:
         v0 = _initial_state("mixed")
-    if args.step <= 0 or args.horizon < args.step:
-        raise CliConfigError("need step > 0 and horizon >= step")
     traj = integrate(model, v0, law, args.horizon, args.step)
     traj.metadata["seed"] = args.seed
     out = args.out or _default_out(f"trajectory.{args.format}")
@@ -229,8 +229,8 @@ def _cmd_analyze_w(args) -> int:
 def _cmd_purification_scan(args) -> int:
     model = _load_model_arg(args.model)
     horizons = [float(h) for h in args.horizons.split(",")]
-    if any(h <= 0 for h in horizons):
-        raise CliConfigError("horizons must be positive")
+    if not all(np.isfinite(h) and h > 0 for h in horizons):
+        raise CliConfigError(f"horizons must be finite and positive, got {args.horizons}")
     rng = np.random.default_rng(args.seed)
     laws = [ControlLaw.constant([0.0, 0.0, 0.0], bound=args.bound)]
     laws += random_control_laws(rng, args.laws, args.bound, max(horizons))

@@ -12,11 +12,13 @@ map is an isometry: ``Tr(rho^2)`` equals the squared Euclidean norm of
 the full 16-vector.  The correlation block ``vAB`` is flattened with the
 first-qubit index varying slowest: slot ``3*(i-1) + j`` holds the
 ``sigma_i x sigma_j`` coefficient.
+
+A state is a plain float array, ``(16,)`` for one state or ``(..., 16)``
+for a stack, and its blocks are read through the slices ``VA``, ``VAB``
+and ``VB``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +37,12 @@ __all__ = [
     "VB",
     "ab_slot",
     "lambda_basis",
-    "BlochVector",
     "to_coherence",
     "from_coherence",
-    "reduced_bloch_a",
-    "reduced_bloch_b",
     "reduced_purity",
     "factorization_residual",
     "is_factorized",
     "embed_factorized",
-    "factorized_states",
     "physicality_defect",
     "is_density_image",
 ]
@@ -88,63 +86,12 @@ def lambda_basis() -> np.ndarray:
     return _LAMBDA
 
 
-@dataclass(frozen=True, eq=False)
-class BlochVector:
-    """Structured view of a coherence vector.
-
-    Attributes
-    ----------
-    c0 : float
-        Trace component; always ``1/2`` for a unit-trace state.
-    va, vb : (3,) arrays
-        Single-qubit blocks of the first and second qubit.
-    vab : (9,) array
-        Two-qubit correlation block, first-qubit index slowest.
-    """
-
-    c0: float
-    va: np.ndarray
-    vab: np.ndarray
-    vb: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "va", np.asarray(self.va, dtype=float).reshape(3))
-        object.__setattr__(self, "vab", np.asarray(self.vab, dtype=float).reshape(9))
-        object.__setattr__(self, "vb", np.asarray(self.vb, dtype=float).reshape(3))
-
-    @classmethod
-    def from_array(cls, v: np.ndarray) -> "BlochVector":
-        v = np.asarray(v, dtype=float).reshape(16)
-        return cls(float(v[IDX_C0]), v[VA].copy(), v[VAB].copy(), v[VB].copy())
-
-    def as_array(self) -> np.ndarray:
-        out = np.empty(16)
-        out[IDX_C0] = self.c0
-        out[VA] = self.va
-        out[VAB] = self.vab
-        out[VB] = self.vb
-        return out
-
-    @property
-    def purity_full(self) -> float:
-        return float(_square_norm(self.as_array()))
-
-    @property
-    def purity_a(self) -> float:
-        return float(reduced_purity(self.va))
-
-    @property
-    def purity_b(self) -> float:
-        return float(reduced_purity(self.vb))
-
-
 def _as_flat(v) -> np.ndarray:
-    if isinstance(v, BlochVector):
-        return v.as_array()
+    """One state in: a float (16,) array, or ``ValueError`` on any other size."""
     return np.asarray(v, dtype=float).reshape(16)
 
 
-def to_coherence(rho: np.ndarray) -> BlochVector:
+def to_coherence(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix and expand it in the Lambda basis.
 
     The trace component is pinned to exactly ``1/2`` (its value for any
@@ -154,7 +101,7 @@ def to_coherence(rho: np.ndarray) -> BlochVector:
     rho = validate_density_matrix(rho)
     coeffs = np.einsum("ikl,lk->i", _LAMBDA, rho).real
     coeffs[IDX_C0] = 0.5
-    return BlochVector.from_array(coeffs)
+    return coeffs
 
 
 def from_coherence(v) -> np.ndarray:
@@ -165,16 +112,6 @@ def from_coherence(v) -> np.ndarray:
     """
     flat = _as_flat(v)
     return np.einsum("i,ikl->kl", flat, _LAMBDA)
-
-
-def reduced_bloch_a(v) -> np.ndarray:
-    """Single-qubit block of the first qubit; ``Tr(rho_A^2) = 1/2 + 2|vA|^2``."""
-    return _as_flat(v)[VA].copy()
-
-
-def reduced_bloch_b(v) -> np.ndarray:
-    """Single-qubit block of the second qubit; ``Tr(rho_B^2) = 1/2 + 2|vB|^2``."""
-    return _as_flat(v)[VB].copy()
 
 
 def _square_norm(x) -> np.ndarray:
@@ -202,7 +139,7 @@ def is_factorized(v) -> bool:
     return factorization_residual(v) <= FACTORIZATION_TOL
 
 
-def factorized_states(va, vb) -> np.ndarray:
+def embed_factorized(va, vb) -> np.ndarray:
     """States ``(1/2, vA, 2 vA (x) vB, vB)`` of blocks ``(..., 3)``, as ``(..., 16)``.
 
     ``va`` and ``vb`` broadcast against each other over the leading axes.
@@ -217,21 +154,14 @@ def factorized_states(va, vb) -> np.ndarray:
     return out
 
 
-def embed_factorized(va: np.ndarray, vb: np.ndarray) -> BlochVector:
-    """Coherence vector of the state with blocks ``(vA, 2 vA (x) vB, vB)``."""
-    return BlochVector.from_array(factorized_states(va, vb))
-
-
 def physicality_defect(states) -> np.ndarray:
     """Worst violation of the norm constraints, per state.
 
-    Accepts a single 16-vector, a :class:`BlochVector` or an (n, 16)
-    stack and returns the (broadcast) maximum of the positive parts of
-    ``|v|^2 - 1``, ``|vA|^2 - 1/4`` and ``|vB|^2 - 1/4``.  Values at or
-    below zero mean all bounds hold.
+    Accepts a single 16-vector or an (n, 16) stack and returns the
+    (broadcast) maximum of the positive parts of ``|v|^2 - 1``,
+    ``|vA|^2 - 1/4`` and ``|vB|^2 - 1/4``.  Values at or below zero mean
+    all bounds hold.
     """
-    if isinstance(states, BlochVector):
-        states = states.as_array()
     arr = np.atleast_2d(np.asarray(states, dtype=float))
     full = _square_norm(arr) - 1.0
     norm_a = _square_norm(arr[:, VA]) - 0.25

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coherence import BlochVector, VA, VB, from_coherence, physicality_defect, reduced_purity
+from .coherence import VA, VB, from_coherence, physicality_defect, reduced_purity
 from .coherence import _as_flat, _square_norm
 from .generator import assemble_blocks, control_generators
 from .model import TwoQubitModel
@@ -175,9 +175,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def state(self, k: int) -> BlochVector:
-        return BlochVector.from_array(self.states[k])
-
     @property
     def purity_full(self) -> np.ndarray:
         return _square_norm(self.states)
@@ -227,11 +224,12 @@ def integrate(
     Parameters
     ----------
     model : TwoQubitModel
-    v0 : BlochVector or (16,) array
-        Initial state; must satisfy the norm constraints.
+    v0 : (16,) array
+        Initial coherence vector; must satisfy the norm constraints.
     law : ControlLaw
     horizon, step : float
-        ``horizon`` is snapped to the nearest integer number of steps.
+        Finite; ``step > 0`` and ``horizon >= step``.  ``horizon`` is
+        snapped to the nearest integer number of steps.
 
     Raises
     ------
@@ -246,10 +244,10 @@ def integrate(
 
 def _integrate(model, split, v0, law, horizon, step):
     """:func:`integrate` with the ``control_generators(model)`` split given."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if horizon < step:
-        raise ValueError("horizon must be at least one step")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    if not (np.isfinite(horizon) and horizon >= step):
+        raise ValueError(f"horizon must be finite and at least one step, got {horizon}")
     n_steps = int(round(horizon / step))
     times = np.arange(n_steps + 1) * step
 
@@ -410,6 +408,8 @@ def random_control_laws(
     horizon: float,
 ) -> list[ControlLaw]:
     """Seeded piecewise-constant laws with values uniform in the bound box."""
+    if n_laws < 0:
+        raise ValueError(f"n_laws must be >= 0, got {n_laws}")
     laws = []
     for _ in range(n_laws):
         n_seg = int(rng.integers(1, _MAX_SEGMENTS + 1))

@@ -15,10 +15,11 @@ oracles, and the case-study tooling (invariant submanifolds,
 dissipation compatibility, the protecting control law and the reduced
 B dynamics) lives here as well.
 
-The reports evaluate stacks of factorized states built by
-:func:`~blochpair.coherence.factorized_states`.  Reports that scan
-several control values form every ``M(u) = M0 + sum_j u_j Mc[j]`` from
-one :func:`~blochpair.generator.control_generators` split in a single
+The reports evaluate stacks of factorized states, plain ``(..., 16)``
+float arrays built by :func:`~blochpair.coherence.embed_factorized`.
+Reports that scan several control values form every
+``M(u) = M0 + sum_j u_j Mc[j]`` from one
+:func:`~blochpair.generator.control_generators` split in a single
 contraction instead of assembling a generator per value.
 
 The obstruction sweep never builds the states of its ``vA`` x ``vB``
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import VA, VAB, VB, BlochVector, embed_factorized, factorized_states
+from .coherence import VA, VAB, VB, embed_factorized
 from .dynamics import ControlLaw, Trajectory, integrate
 from .generator import control_generators, dissipator_blocks, generator, t_matrices
 from .model import TwoQubitModel
@@ -47,6 +48,7 @@ __all__ = [
     "FactorizedState",
     "random_factorized_states",
     "make_model",
+    "require_coupling",
     "factorization_drift",
     "drift_batch",
     "closed_form_drift",
@@ -121,6 +123,12 @@ def make_model(
     return TwoQubitModel(omega_a, omega_b, coupling.lambda_matrix(), tuple(jumps))
 
 
+def require_coupling(model: TwoQubitModel, coupling: Coupling) -> None:
+    """Raise ``ValueError`` unless ``model.lam`` is the coupling matrix of ``coupling``."""
+    if not np.max(np.abs(model.lam - coupling.lambda_matrix())) <= 1e-12:
+        raise ValueError(f"model coupling matrix does not match the {coupling.tag} coupling case")
+
+
 @dataclass(frozen=True, eq=False)
 class FactorizedState:
     """Blocks ``(vA, vB)`` of a state with a pure reduced B qubit.
@@ -143,7 +151,7 @@ class FactorizedState:
         object.__setattr__(self, "va", va)
         object.__setattr__(self, "vb", vb)
 
-    def embed(self) -> BlochVector:
+    def embed(self) -> np.ndarray:
         return embed_factorized(self.va, self.vb)
 
 
@@ -168,7 +176,7 @@ def drift_batch(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
     """
     vas = np.atleast_2d(vas)
     vbs = np.atleast_2d(vbs)
-    rates = factorized_states(vas, vbs) @ m.T
+    rates = embed_factorized(vas, vbs) @ m.T
     coupled = np.einsum("ni,nj->nij", rates[:, VA], vbs) + np.einsum(
         "ni,nj->nij", vas, rates[:, VB]
     )
@@ -292,6 +300,8 @@ def transcription_report(
     """
     from .quantum import SIGMA_MINUS
 
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if jumps is None:
         jumps = (0.5 * SIGMA_MINUS,)
     rng = np.random.default_rng(seed)
@@ -507,6 +517,8 @@ def resonant_obstruction_report(
     """
     if not (np.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid_step must be finite and > 0, got {grid_step}")
+    if n_random < 0:
+        raise ValueError(f"n_random must be >= 0, got {n_random}")
     coupling = Coupling("resonant", g)
     if model is None:
         from .quantum import SIGMA_MINUS
@@ -606,7 +618,7 @@ def axis1_escape_report(
     m0, mc = control_generators(model)
     pole_rows = (m0 + np.einsum("gj,jkl->gkl", grid, mc))[:, 14:16].reshape(-1, 16)
     poles = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
-    states = factorized_states(vas[None, :, :], poles[:, None, :]).reshape(-1, 16)
+    states = embed_factorized(vas[None, :, :], poles[:, None, :]).reshape(-1, 16)
     rates = (states @ pole_rows.T).reshape(len(states), len(grid), 2)  # rows vB2, vB3
     return {
         "min_escape_rate": float(np.min(np.linalg.norm(rates, axis=-1))),
@@ -634,8 +646,7 @@ def protected_run(
     the realized ``vB(t)`` should follow.  ``model`` must carry the
     coupling matrix of ``coupling``.
     """
-    if np.max(np.abs(model.lam - coupling.lambda_matrix())) > 1e-12:
-        raise ValueError("model coupling matrix does not match the stated coupling case")
+    require_coupling(model, coupling)
     law = protecting_law(model, va3)
     state = FactorizedState(np.array([0.0, 0.0, va3]), np.asarray(vb0, dtype=float))
     traj = integrate(model, state.embed(), law, horizon, step)

@@ -136,6 +136,41 @@ def test_simulate_protecting_control(protectable_model_path, tmp_path, capsys):
     assert cols["u2"][0] == pytest.approx(0.4, abs=1e-12)
 
 
+def test_simulate_protecting_control_needs_sigma31_coupling(damping_model_path, tmp_path, capsys):
+    # the resonant model admits the compatibility condition but not the protection
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        [
+            "simulate",
+            "--model",
+            damping_model_path,
+            "--horizon",
+            "2",
+            "--control",
+            "feedback:protect-sigma31",
+            "--out",
+            out,
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "sigma3-sigma1" in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_simulate_rejects_non_finite_horizon(horizon, damping_model_path, tmp_path, capsys):
+    code, stdout, err = run_cli(
+        ["simulate", "--model", damping_model_path, "--horizon", horizon, "--out", tmp_path / "t.csv"],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    message = json.loads(err)["error"]["message"]
+    assert "horizon" in message and "finite" in message
+
+
 def test_simulate_json_format(damping_model_path, tmp_path, capsys):
     out = tmp_path / "traj.json"
     code, stdout, _ = run_cli(
@@ -323,6 +358,30 @@ def test_analyze_w_rejects_empty_grid_step(grid_step, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["analyze-w", "--case", "dispersive", "--samples", "0"], "n_samples"),
+        (
+            ["analyze-w", "--case", "resonant", "--samples", "10", "--grid-step", "0.25",
+             "--random-samples", "-1"],
+            "n_random",
+        ),
+        (["purification-scan", "--laws", "-2", "--horizons", "1", "--step", "1e-2"], "n_laws"),
+    ],
+    ids=["samples-0", "random-samples-negative", "laws-negative"],
+)
+def test_counts_out_of_range_are_config_errors(args, name, damping_model_path, tmp_path, capsys):
+    if args[0] == "purification-scan":
+        args = args + ["--model", damping_model_path]
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(args + ["--out", out], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert name in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
 def test_analyze_w_sigma31(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, _, _ = run_cli(
@@ -383,6 +442,25 @@ def test_purification_scan_rejects_boundary_start(damping_model_path, tmp_path, 
     )
     assert code == 2
     assert "interior" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("horizons", ["10,inf", "nan"])
+def test_purification_scan_rejects_non_finite_horizons(horizons, damping_model_path, tmp_path, capsys):
+    code, stdout, err = run_cli(
+        [
+            "purification-scan",
+            "--model",
+            damping_model_path,
+            "--horizons",
+            horizons,
+            "--out",
+            tmp_path / "scan.json",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "horizons" in json.loads(err)["error"]["message"]
 
 
 def test_cli_entry_point_subprocess(damping_model_path, tmp_path):

@@ -5,22 +5,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blochpair.coherence import (
-    BlochVector,
+    VA,
     VAB,
+    VB,
     ab_slot,
     embed_factorized,
     factorization_residual,
-    factorized_states,
     from_coherence,
     is_density_image,
     is_factorized,
     lambda_basis,
     physicality_defect,
-    reduced_bloch_a,
-    reduced_bloch_b,
     reduced_purity,
     to_coherence,
 )
+from blochpair.protection import FactorizedState
 from blochpair.quantum import (
     IDENTITY_4,
     partial_trace_a,
@@ -51,24 +50,24 @@ def test_basis_orthonormal_and_traceless():
 
 def test_maximally_mixed_maps_to_origin():
     v = to_coherence(MIXED)
-    assert v.c0 == 0.5
-    assert np.max(np.abs(v.as_array()[1:])) < 1e-15
+    assert v[0] == 0.5
+    assert np.max(np.abs(v[1:])) < 1e-15
 
 
 def test_ground_state_coordinates():
     v = to_coherence(KET00)
-    np.testing.assert_allclose(v.va, [0, 0, 0.5], atol=1e-14)
-    np.testing.assert_allclose(v.vb, [0, 0, 0.5], atol=1e-14)
+    np.testing.assert_allclose(v[VA], [0, 0, 0.5], atol=1e-14)
+    np.testing.assert_allclose(v[VB], [0, 0, 0.5], atol=1e-14)
     expected_ab = np.zeros(9)
     expected_ab[ab_slot(3, 3)] = 0.5
-    np.testing.assert_allclose(v.vab, expected_ab, atol=1e-14)
+    np.testing.assert_allclose(v[VAB], expected_ab, atol=1e-14)
 
 
 def test_parseval_identity(rng):
     for _ in range(100):
         rho = random_density_matrix(rng)
         v = to_coherence(rho)
-        assert v.purity_full == pytest.approx(purity(rho), abs=1e-10)
+        assert v @ v == pytest.approx(purity(rho), abs=1e-10)
 
 
 def test_round_trip(rng):
@@ -86,17 +85,17 @@ def test_reduced_blocks_match_partial_traces(rng):
     purity_a = [purity(partial_trace_b(rho)) for rho in rhos]
     purity_b = [purity(partial_trace_a(rho)) for rho in rhos]
     for v, pa, pb in zip(vs, purity_a, purity_b):
-        assert v.purity_a == pytest.approx(pa, abs=1e-12)
-        assert v.purity_b == pytest.approx(pb, abs=1e-12)
-    stack_a = np.array([reduced_bloch_a(v) for v in vs])
-    stack_b = np.array([reduced_bloch_b(v) for v in vs])
+        assert reduced_purity(v[VA]) == pytest.approx(pa, abs=1e-12)
+        assert reduced_purity(v[VB]) == pytest.approx(pb, abs=1e-12)
+    stack_a = np.array([v[VA] for v in vs])
+    stack_b = np.array([v[VB] for v in vs])
     np.testing.assert_allclose(reduced_purity(stack_a), purity_a, atol=1e-12)
     np.testing.assert_allclose(reduced_purity(stack_b), purity_b, atol=1e-12)
 
 
 def test_reduced_purity_extremes():
-    assert to_coherence(MIXED).purity_b == pytest.approx(0.5, abs=1e-14)
-    assert to_coherence(KET00).purity_b == pytest.approx(1.0, abs=1e-14)
+    assert reduced_purity(to_coherence(MIXED)[VB]) == pytest.approx(0.5, abs=1e-14)
+    assert reduced_purity(to_coherence(KET00)[VB]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_factorization_residual_product_states(rng):
@@ -104,14 +103,14 @@ def test_factorization_residual_product_states(rng):
         rho = tensor(random_density_matrix(rng, 2), random_pure_state(rng, 2))
         v = to_coherence(rho)
         assert factorization_residual(v) < 1e-12
-        assert abs(reduced_bloch_b(v) @ reduced_bloch_b(v) - 0.25) < 1e-12
+        assert abs(v[VB] @ v[VB] - 0.25) < 1e-12
         assert is_factorized(v)
 
 
 def test_factorization_residual_bell_state():
     v = to_coherence(BELL)
-    np.testing.assert_allclose(v.va, 0, atol=1e-14)
-    np.testing.assert_allclose(v.vb, 0, atol=1e-14)
+    np.testing.assert_allclose(v[VA], 0, atol=1e-14)
+    np.testing.assert_allclose(v[VB], 0, atol=1e-14)
     assert factorization_residual(v) == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
     assert factorization_residual(v) > 0.5
     assert factorization_residual(to_coherence(MIXED)) == 0.0
@@ -123,8 +122,8 @@ def test_near_pure_reduced_states_are_near_factorized(rng):
     for _ in range(10):
         base = tensor(random_density_matrix(rng, 2), random_pure_state(rng, 2))
         noise = random_density_matrix(rng, 4)
-        vb0 = reduced_bloch_b(to_coherence(base))
-        delta = reduced_bloch_b(to_coherence(noise)) - vb0
+        vb0 = to_coherence(base)[VB]
+        delta = to_coherence(noise)[VB] - vb0
         slope = abs(4 * vb0 @ delta)
         if slope < 1e-3:
             continue
@@ -153,22 +152,22 @@ def test_embed_factorized_round_trip(rng):
     vb = np.array([0.3, 0.0, 0.4])
     v = embed_factorized(va, vb)
     assert factorization_residual(v) == 0.0
-    np.testing.assert_allclose(reduced_bloch_a(v), va)
-    np.testing.assert_allclose(reduced_bloch_b(v), vb)
+    np.testing.assert_allclose(v[VA], va)
+    np.testing.assert_allclose(v[VB], vb)
     vas, vbs = rng.uniform(-0.3, 0.3, (2, 7, 3))
-    stacked = factorized_states(vas, vbs)
+    stacked = embed_factorized(vas, vbs)
     assert stacked.shape == (7, 16)
     for row, va, vb in zip(stacked, vas, vbs):
-        np.testing.assert_array_equal(row, embed_factorized(va, vb).as_array())
+        np.testing.assert_array_equal(row, embed_factorized(va, vb))
         by_hand = np.concatenate([[0.5], va, 2.0 * np.outer(va, vb).ravel(), vb])
         np.testing.assert_array_equal(row, by_hand)
     # one vB broadcasts against every vA, and stacks nest over leading axes
-    np.testing.assert_array_equal(factorized_states(vas, vbs[0]), factorized_states(vas, np.tile(vbs[0], (7, 1))))
-    np.testing.assert_array_equal(factorized_states(vas[None], vbs[:2, None])[1], factorized_states(vas, vbs[1]))
+    np.testing.assert_array_equal(embed_factorized(vas, vbs[0]), embed_factorized(vas, np.tile(vbs[0], (7, 1))))
+    np.testing.assert_array_equal(embed_factorized(vas[None], vbs[:2, None])[1], embed_factorized(vas, vbs[1]))
 
 
 def test_physicality_defect(rng):
-    ok = to_coherence(random_density_matrix(rng)).as_array()
+    ok = to_coherence(random_density_matrix(rng))
     assert physicality_defect(ok) <= 1e-12
     bad = ok.copy()
     bad[1:4] = [0.5, 0.5, 0.5]
@@ -180,10 +179,18 @@ def test_physicality_defect(rng):
 
 
 def test_bloch_vector_array_round_trip(rng):
-    arr = to_coherence(random_density_matrix(rng)).as_array()
-    v = BlochVector.from_array(arr)
-    np.testing.assert_array_equal(v.as_array(), arr)
-    assert v.as_array()[VAB].shape == (9,)
+    # every constructor hands out the flat float array itself
+    va, vb = np.array([0.1, -0.2, 0.15]), np.array([0.0, 0.3, 0.4])
+    single = [
+        to_coherence(random_density_matrix(rng)),
+        embed_factorized(va, vb),
+        FactorizedState(va, vb).embed(),
+    ]
+    stacked = embed_factorized(rng.uniform(-0.3, 0.3, (5, 3)), vb)
+    for v, shape in [(s, (16,)) for s in single] + [(stacked, (5, 16))]:
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
+        assert np.all(v[..., 0] == 0.5)
+        assert v[..., VAB].shape == shape[:-1] + (9,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,4 +202,4 @@ def test_parseval_hypothesis(entries):
     gram = g @ g.conj().T + 1e-3 * np.eye(4)
     rho = gram / np.trace(gram).real
     v = to_coherence(rho)
-    assert abs(v.purity_full - purity(rho)) < 1e-10
+    assert abs(v @ v - purity(rho)) < 1e-10

@@ -79,7 +79,7 @@ def test_c0_exactly_constant(rng):
 
 def test_closed_system_preserves_norm(rng):
     model = closed_model(lam_scale=1.5, rng=rng)
-    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    v0 = to_coherence(random_density_matrix(rng))
     traj = integrate(model, v0, ControlLaw.constant(rng.uniform(-1, 1, 3)), 10.0, 1e-3)
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.max(np.abs(norms - norms[0])) < 1e-9 * 10.0
@@ -89,7 +89,7 @@ def test_uncoupled_b_rotates_freely(rng):
     omega_b = 1.3
     model = closed_model(omega_a=0.7, omega_b=omega_b)
     vb0 = np.array([0.5, 0.0, 0.0])
-    v0 = embed_factorized([0.1, 0.2, -0.3], vb0).as_array()
+    v0 = embed_factorized([0.1, 0.2, -0.3], vb0)
     law = ControlLaw.constant([0.8, -0.5, 0.3])
     traj = integrate(model, v0, law, 3.0, 1e-3)
     angle = 2.0 * omega_b * traj.times
@@ -112,7 +112,7 @@ def test_amplitude_damping_closed_form():
 
 def test_rk4_fourth_order_convergence():
     model = closed_model()
-    v0 = embed_factorized([0.3, 0.0, 0.2], [0.5, 0.0, 0.0]).as_array()
+    v0 = embed_factorized([0.3, 0.0, 0.2], [0.5, 0.0, 0.0])
     law = ControlLaw.constant([0.2, 0.0, 0.0])
     horizon = 5.0
     omega_b = model.omega_b
@@ -130,7 +130,7 @@ def test_rk4_fourth_order_convergence():
 
 def test_integration_paths_agree(rng):
     model = random_model(rng)
-    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    v0 = to_coherence(random_density_matrix(rng))
     u = rng.uniform(-1, 1, 3)
     pw = integrate(model, v0, ControlLaw.constant(u), 1.0, 1e-3)
     fb = integrate(model, v0, ControlLaw.feedback(lambda t, v: u), 1.0, 1e-3)
@@ -164,7 +164,7 @@ def test_physicality_report_attached(rng):
 
 def test_purity_rate_b_matches_finite_difference(rng):
     model = random_model(rng)
-    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    v0 = to_coherence(random_density_matrix(rng))
     step = 1e-4
     traj = integrate(model, v0, ControlLaw.constant(rng.uniform(-1, 1, 3)), 0.05, step)
     k = 200
@@ -229,11 +229,11 @@ def test_purification_scan_basics(rng):
 
 def test_purification_scan_rejects_boundary(rng):
     model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (SIGMA_MINUS,))
-    pure = embed_factorized([0, 0, 0.5], [0, 0, 0.5]).as_array()
+    pure = embed_factorized([0, 0, 0.5], [0, 0, 0.5])
     with pytest.raises(BoundaryStateError):
         purification_scan(model, pure, [ControlLaw.constant([0, 0, 0])], [1.0], 1e-2)
     # singular but not fully pure states are boundary points too
-    rank_deficient = embed_factorized([0, 0, 0.5], [0, 0, 0.5]).as_array() * 0.0
+    rank_deficient = embed_factorized([0, 0, 0.5], [0, 0, 0.5]) * 0.0
     rank_deficient[0] = 0.5
     rank_deficient[3] = 0.5  # vA3 = 1/2 makes rho_A a projector
     with pytest.raises(BoundaryStateError):
@@ -246,7 +246,7 @@ def test_purification_scan_from_near_pure_interior_start(rng):
     # a mixed but almost-pure interior state still cannot reach a pure
     # reduced B state in finite time
     model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
-    pure = embed_factorized([0.3, 0.0, 0.4], [0.0, 0.3, 0.4]).as_array()
+    pure = embed_factorized([0.3, 0.0, 0.4], [0.0, 0.3, 0.4])
     eps = 6.7e-4  # blend toward I/4 for full purity just below 1 - 1e-3
     start = pure.copy()
     start[1:] *= 1.0 - eps
@@ -260,7 +260,7 @@ def test_purification_scan_from_near_pure_interior_start(rng):
 
 def test_no_dissipation_constant_full_purity(rng):
     model = closed_model(lam_scale=1.0, rng=rng)
-    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    v0 = to_coherence(random_density_matrix(rng))
     traj = integrate(model, v0, ControlLaw.constant([0.4, 0.1, -0.2]), 5.0, 1e-3)
     pf = traj.purity_full
     assert np.max(np.abs(pf - pf[0])) < 1e-8
@@ -288,6 +288,14 @@ def test_non_finite_start_aborts():
         integrate(closed_model(), start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
 
 
+@pytest.mark.parametrize(
+    "horizon, step", [(np.nan, 1e-2), (np.inf, 1e-2), (1.0, np.nan), (1.0, np.inf)]
+)
+def test_non_finite_horizon_or_step_rejected(horizon, step):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(closed_model(), MIXED16, ControlLaw.constant([0, 0, 0]), horizon, step)
+
+
 def _generator(split, u):
     m0, mc = split
     return m0 + np.einsum("j,jkl->kl", u, mc)
@@ -306,7 +314,7 @@ def test_piecewise_blocks_match_sequential_stepping(rng):
     model = random_model(rng)
     values = rng.uniform(-1, 1, (starts.shape[0], 3))
     law = ControlLaw.piecewise_constant(starts * step, values)
-    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    v0 = to_coherence(random_density_matrix(rng))
     traj = integrate(model, v0, law, 40.0, step)
 
     stops = np.append(starts[1:], 40_000)
@@ -326,7 +334,7 @@ def test_sampled_maps_match_stage_wise_loop(rng):
     model = random_model(rng)
     times = np.linspace(0.0, 1.3, 14)
     law = ControlLaw.sampled(times, rng.uniform(-1, 1, (14, 3)), bound=1.0)
-    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    v0 = to_coherence(random_density_matrix(rng))
     step = 1e-3
     traj = integrate(model, v0, law, 1.3, step)  # 1300 steps: five chunks of 256, then 20
 
@@ -357,7 +365,7 @@ def test_piecewise_matches_exact_propagator_at_segment_ends(rng):
     breaks = np.array([0.0, 1.5, 2.2, 4.0])
     values = rng.uniform(-1, 1, (4, 3))
     law = ControlLaw.piecewise_constant(breaks, values)
-    v0 = to_coherence(random_density_matrix(rng)).as_array()
+    v0 = to_coherence(random_density_matrix(rng))
     traj = integrate(model, v0, law, 5.0, step)
 
     ends = np.append(breaks[1:], 5.0)

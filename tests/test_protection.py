@@ -287,7 +287,7 @@ def test_reduced_b_generator_matches_full_generator(tag, va3, rng):
     for _ in range(10):
         vb = rng.normal(size=3)
         vb *= 0.5 / np.linalg.norm(vb)
-        state = FactorizedState([0.0, 0.0, va3], vb).embed().as_array()
+        state = FactorizedState([0.0, 0.0, va3], vb).embed()
         vb_rate = (m @ state)[13:16]
         np.testing.assert_allclose(vb_rate, rot @ vb, atol=1e-12)
 
