@@ -218,10 +218,10 @@ def _cmd_analyze_w(args) -> int:
     out = args.out or _default_out("w_report.json")
     atomic_write_text(out, json.dumps(report, indent=2) + "\n")
     print(json.dumps({"out": out, "max_residual": worst}))
-    if worst > ORACLE_RESIDUAL_LIMIT:
+    if not worst <= ORACLE_RESIDUAL_LIMIT:  # NaN fails too
         return _emit_error(
             EXIT_NUMERICAL,
-            f"transcription residual {worst:.3e} exceeds {ORACLE_RESIDUAL_LIMIT:.1e}",
+            f"transcription residual {worst:.3e} is not within {ORACLE_RESIDUAL_LIMIT:.1e}",
         )
     return EXIT_OK
 
@@ -295,6 +295,8 @@ def main(argv=None) -> int:
         return _emit_error(EXIT_CONFIG, str(exc))
     except PhysicalityError as exc:
         return _emit_error(EXIT_NUMERICAL, str(exc), {"t": exc.t, "defect": exc.defect})
+    except AssertionError as exc:  # a structural certificate failed, e.g. on a NaN model
+        return _emit_error(EXIT_NUMERICAL, str(exc))
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coherence import VA, VB, from_coherence, physicality_defect, reduced_purity
-from .coherence import _as_flat, _square_norm
+from .coherence import VA, VB, from_coherence, is_density_image, physicality_defect
+from .coherence import _as_flat, _square_norm, reduced_purity
 from .generator import assemble_blocks, control_generators
 from .model import TwoQubitModel
 
@@ -82,9 +82,9 @@ class ControlLaw:
     grid; sampled laws interpolate linearly between samples;
     state-feedback laws call ``callback(t, v)`` with the current
     16-component coherence vector.  If ``bound`` is set, every evaluated
-    value must satisfy ``max|u_i| <= bound``, which must be finite.  The
-    piecewise-constant and sampled constructors require finite times and
-    values.
+    value must satisfy ``max|u_i| <= bound``, which must be finite and
+    non-negative.  The piecewise-constant and sampled constructors
+    require finite times and values.
     """
 
     kind: str
@@ -94,8 +94,8 @@ class ControlLaw:
     bound: float | None = None
 
     def __post_init__(self):
-        if self.bound is not None and not np.isfinite(self.bound):
-            raise ValueError(f"control bound must be finite, got {self.bound}")
+        if self.bound is not None and not (np.isfinite(self.bound) and self.bound >= 0):
+            raise ValueError(f"control bound must be finite and >= 0, got {self.bound}")
 
     @classmethod
     def constant(cls, u, bound: float | None = None) -> "ControlLaw":
@@ -225,7 +225,8 @@ def integrate(
     ----------
     model : TwoQubitModel
     v0 : (16,) array
-        Initial coherence vector; must satisfy the norm constraints.
+        Initial coherence vector; must satisfy the norm constraints and
+        be the image of a density matrix.
     law : ControlLaw
     horizon, step : float
         Finite; ``step > 0`` and ``horizon >= step``.  ``horizon`` is
@@ -233,6 +234,8 @@ def integrate(
 
     Raises
     ------
+    ValueError
+        If the start state is not positive semi-definite (checked once).
     PhysicalityError
         If the start or any recorded state violates the norm constraints
         by more than :data:`ABORT_TOL`, or is not finite.  The worst
@@ -255,6 +258,8 @@ def _integrate(model, split, v0, law, horizon, step):
     start_defect = float(physicality_defect(start))
     if not start_defect <= ABORT_TOL:
         raise PhysicalityError(0.0, start_defect)
+    if not is_density_image(start):
+        raise ValueError("start state is not a density matrix: it has a negative eigenvalue")
 
     m0, mc = split
     states = np.empty((n_steps + 1, 16))

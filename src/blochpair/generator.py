@@ -203,9 +203,5 @@ def control_generators(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray]:
     stack of control generators, each independent of drift and noise.
     """
     m0 = generator(model, np.zeros(3))
-    mc = np.empty((3, 16, 16))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = 1.0
-        mc[j] = generator(model, e) - m0
+    mc = np.array([generator(model, e) for e in _I3]) - m0
     return m0, mc

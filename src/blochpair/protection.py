@@ -17,10 +17,11 @@ B dynamics) lives here as well.
 
 The reports evaluate stacks of factorized states, plain ``(..., 16)``
 float arrays built by :func:`~blochpair.coherence.embed_factorized`.
-Reports that scan several control values form every
-``M(u) = M0 + sum_j u_j Mc[j]`` from one
-:func:`~blochpair.generator.control_generators` split in a single
-contraction instead of assembling a generator per value.
+Claims that hold for every control value are read off the affine split
+``M(u) = M0 + sum_j u_j Mc[j]`` of
+:func:`~blochpair.generator.control_generators` instead of a grid of
+sampled controls: a block of ``M(u)`` that is zero in every ``Mc[j]`` is
+the same block of ``M0`` for all ``u``.
 
 The obstruction sweep never builds the states of its ``vA`` x ``vB``
 grid.  For a fixed generator and a fixed ``vA`` the drift is a
@@ -42,6 +43,7 @@ from .coherence import VA, VAB, VB, embed_factorized
 from .dynamics import ControlLaw, Trajectory, integrate
 from .generator import control_generators, dissipator_blocks, generator, t_matrices
 from .model import TwoQubitModel
+from .quantum import SIGMA_MINUS
 
 __all__ = [
     "Coupling",
@@ -70,16 +72,12 @@ COUPLING_TAGS = ("dispersive", "resonant", "sigma3-sigma1")
 COMPATIBILITY_TOL = 1e-10
 #: control offset of the transcription comparison model
 _TRANSCRIPTION_U = (0.4, -0.3, 0.6)
-#: control values at which the dispersive zero pattern is checked
-_ZERO_PATTERN_U = np.array([[0.0, 0.0, 0.0], [1.3, -0.7, 0.4], [-2.0, 2.0, 1.0]])
 #: drift norm at or below which the obstruction sweep counts a zero
 _DRIFT_TOL = 1e-9
 #: grid pairs per chunk of the obstruction sweep (whole vB-grid rows); chunks
 #: this small keep each temporary near 0.3 MB, so the allocator reuses its
 #: memory instead of mapping and faulting in fresh pages on every chunk
 _SWEEP_CHUNK = 4096
-#: largest ``|u_j|`` on the control grid of the axis-1 escape report
-_AXIS1_BOUND = 2.0
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,8 @@ class Coupling:
     def __post_init__(self):
         if self.tag not in COUPLING_TAGS:
             raise ValueError(f"unknown coupling tag {self.tag!r}; expected one of {COUPLING_TAGS}")
+        if not np.isfinite(self.g):
+            raise ValueError(f"coupling strength g must be finite, got {self.g}")
 
     def lambda_matrix(self) -> np.ndarray:
         lam = np.zeros((3, 3))
@@ -298,8 +298,6 @@ def transcription_report(
     of them on factorized states, so a match certifies both the
     transcription and the cancellation structure.
     """
-    from .quantum import SIGMA_MINUS
-
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if jumps is None:
@@ -414,13 +412,14 @@ def dispersive_zero_pattern(model: TwoQubitModel) -> float:
 
     For a dispersive coupling the rows of the pinned coordinates must
     have exactly zero entries against every other column (including the
-    affine one), for every control value and any dissipation; the
-    returned magnitude is the worst violation over three sample
-    controls.
+    affine one), for every control value and any dissipation.  The
+    returned magnitude is the worst entry of that block over ``M0`` and
+    the three ``Mc[j]`` of the affine split, which bounds the block of
+    ``M(u)`` for every ``u`` at once.
     """
     m0, mc = control_generators(model)
-    m = m0 + np.einsum("sj,jkl->skl", _ZERO_PATTERN_U, mc)
-    return float(np.max(np.abs(m[:, _Z2_INDICES[:, None], _NON_Z2_COLUMNS])))
+    stack = np.concatenate([m0[None], mc])
+    return float(np.max(np.abs(stack[:, _Z2_INDICES[:, None], _NON_Z2_COLUMNS])))
 
 
 def dispersive_invariant_report(
@@ -521,8 +520,6 @@ def resonant_obstruction_report(
         raise ValueError(f"n_random must be >= 0, got {n_random}")
     coupling = Coupling("resonant", g)
     if model is None:
-        from .quantum import SIGMA_MINUS
-
         model = make_model(coupling, omega_a=0.9, omega_b=1.1, jumps=(SIGMA_MINUS,))
     m = generator(model, np.array([0.3, -0.2, 0.1]))
 
@@ -596,7 +593,6 @@ def resonant_obstruction_report(
 
 def axis1_escape_report(
     model: TwoQubitModel,
-    n_levels: int = 5,
     seed: int = 0,
     n_states: int = 20,
 ) -> dict:
@@ -605,26 +601,25 @@ def axis1_escape_report(
     Pinning B at a ``sigma_1`` pole makes the factorization drift vanish
     identically, yet the configuration cannot persist: the free rotation
     of B moves ``vB`` off the pole at rate ``|omega_b|`` regardless of
-    the control, which acts on A only.  The report returns the minimum,
-    over a control grid and random ``vA``, of the instantaneous rate at
-    which the pole constraints ``(vB2, vB3) = 0`` are violated.  The
-    rate degenerates to zero exactly when ``omega_b = 0``, in which case
-    the branch is not excluded by this first-order argument.
+    the control, which acts on A only: the ``vB`` rows of every ``Mc[j]``
+    are zero (asserted), so ``M0`` gives the rate for every ``u``.  The
+    report returns the minimum, over random ``vA``, of the instantaneous
+    rate at which the pole constraints ``(vB2, vB3) = 0`` are violated.
+    The rate degenerates to zero exactly when ``omega_b = 0``, in which
+    case the branch is not excluded by this first-order argument.
     """
     rng = np.random.default_rng(seed)
     vas, _ = random_factorized_states(rng, n_states)
-    levels = np.linspace(-_AXIS1_BOUND, _AXIS1_BOUND, n_levels)
-    grid = np.array(np.meshgrid(levels, levels, levels, indexing="ij")).reshape(3, -1).T
     m0, mc = control_generators(model)
-    pole_rows = (m0 + np.einsum("gj,jkl->gkl", grid, mc))[:, 14:16].reshape(-1, 16)
+    if np.any(mc[:, VB]):
+        raise AssertionError("control generators reach the vB rows (or are not finite)")
     poles = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     states = embed_factorized(vas[None, :, :], poles[:, None, :]).reshape(-1, 16)
-    rates = (states @ pole_rows.T).reshape(len(states), len(grid), 2)  # rows vB2, vB3
+    rates = states @ m0[14:16].T  # rows vB2, vB3
     return {
         "min_escape_rate": float(np.min(np.linalg.norm(rates, axis=-1))),
         "omega_b": model.omega_b,
         "expected_rate": abs(model.omega_b),
-        "control_bound": _AXIS1_BOUND,
         "note": "rate vanishes iff omega_b = 0; the exclusion is first-order only",
     }
 

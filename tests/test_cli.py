@@ -320,6 +320,44 @@ def test_analyze_w_dispersive(tmp_path, capsys):
     assert doc["transcription"]["max_residual"] <= 1e-11
 
 
+@pytest.mark.parametrize("case", ["dispersive", "resonant", "sigma3-sigma1"])
+@pytest.mark.parametrize("g", ["nan", "inf"])
+def test_analyze_w_non_finite_coupling_is_config_error(case, g, tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code, stdout, err = run_cli(["analyze-w", "--case", case, "--g", g, "--out", out], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "g must be finite" in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
+def test_analyze_w_non_finite_model_fails_the_oracle(damping_model_path, tmp_path, capsys):
+    doc = json.loads(damping_model_path.read_text())
+    doc["omega_a"] = float("nan")
+    nan_path = tmp_path / "nan_model.json"
+    nan_path.write_text(json.dumps(doc))  # written as the JSON token NaN
+    code, _, err = run_cli(
+        ["analyze-w", "--case", "dispersive", "--model", nan_path, "--out", tmp_path / "w.json"],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(err)["error"]["code"] == 3
+
+
+def test_analyze_w_sigma31_non_finite_model_fails_the_certificate(tmp_path, capsys):
+    model = make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1, (SIGMA_MINUS,))
+    doc = model.to_dict()
+    doc["omega_b"] = float("nan")
+    nan_path = tmp_path / "nan_model.json"
+    nan_path.write_text(json.dumps(doc))  # written as the JSON token NaN
+    code, _, err = run_cli(
+        ["analyze-w", "--case", "sigma3-sigma1", "--model", nan_path, "--out", tmp_path / "w.json"],
+        capsys,
+    )
+    assert code == 3
+    assert "vB rows" in json.loads(err)["error"]["message"]
+
+
 def test_analyze_w_resonant_with_sweep(tmp_path, capsys):
     out = tmp_path / "w.json"
     code, _, _ = run_cli(
@@ -461,6 +499,18 @@ def test_purification_scan_rejects_non_finite_horizons(horizons, damping_model_p
     assert code == 2
     assert stdout == ""
     assert "horizons" in json.loads(err)["error"]["message"]
+
+
+def test_purification_scan_rejects_negative_bound(damping_model_path, tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    code, stdout, err = run_cli(
+        ["purification-scan", "--model", damping_model_path, "--bound", "-1", "--out", out],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "bound must be finite and >= 0" in json.loads(err)["error"]["message"]
+    assert not out.exists()
 
 
 def test_cli_entry_point_subprocess(damping_model_path, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from blochpair.coherence import embed_factorized, to_coherence
+from blochpair.coherence import embed_factorized, physicality_defect, to_coherence
 from blochpair.dynamics import (
     ABORT_TOL,
     BoundaryStateError,
@@ -62,6 +62,15 @@ def test_control_law_constructors():
 def test_control_law_rejects_non_finite_inputs(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("bound", [-1.0, -1e-12])
+def test_control_law_rejects_negative_bound(bound):
+    with pytest.raises(ValueError, match="bound must be finite and >= 0"):
+        ControlLaw.constant([0.0, 0.0, 0.0], bound=bound)
+    with pytest.raises(ValueError, match="bound must be finite and >= 0"):
+        ControlLaw.feedback(lambda t, v: np.zeros(3), bound=bound)
+    ControlLaw.constant([0.0, 0.0, 0.0], bound=0.0)
 
 
 def test_feedback_bound_enforced():
@@ -285,6 +294,15 @@ def test_non_finite_start_aborts():
     start = MIXED16.copy()
     start[5] = np.nan
     with pytest.raises(PhysicalityError):
+        integrate(closed_model(), start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
+
+
+def test_non_positive_start_rejected():
+    # within every norm constraint, yet rho has the eigenvalue -1/2
+    start = MIXED16.copy()
+    start[[4, 8, 12]] = 0.5
+    assert physicality_defect(start) <= 0.0
+    with pytest.raises(ValueError, match="negative eigenvalue"):
         integrate(closed_model(), start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from blochpair import protection
 from blochpair.coherence import factorization_residual
 from blochpair.dynamics import ControlLaw, integrate
-from blochpair.generator import dissipator_blocks, generator, t_matrices
+from blochpair.generator import control_generators, dissipator_blocks, generator, t_matrices
 from blochpair.model import TwoQubitModel
 from blochpair.protection import (
     Coupling,
@@ -31,6 +32,7 @@ from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
 from conftest import random_model
 
 ZERO_U = np.zeros(3)
+PAULIS = np.array([pauli(1), pauli(2), pauli(3)])
 
 
 def compatible_sigma31_model(g=0.9, x=0.4, y=0.3, omega_a=0.7, omega_b=1.1):
@@ -53,6 +55,13 @@ def test_coupling_lambda_matrices():
     assert s31[2, 0] == g and np.count_nonzero(s31) == 1
     with pytest.raises(ValueError, match="unknown coupling"):
         Coupling("xy", g)
+
+
+@pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("tag", ["dispersive", "resonant", "sigma3-sigma1"])
+def test_coupling_rejects_non_finite_strength(tag, g):
+    with pytest.raises(ValueError, match="g must be finite"):
+        Coupling(tag, g)
 
 
 def test_factorized_state_validation():
@@ -161,6 +170,43 @@ def test_drift_independent_of_locals_controls_noise(rng):
     for model, u in variants:
         w = drift_batch(generator(model, u), vas, vbs)
         assert np.max(np.abs(w - reference)) < 1e-12
+
+
+# -- control independence: the structural certificate -------------------------
+
+
+def random_control_model(rng):
+    """Random model with generic jumps and non-Pauli control Hamiltonians."""
+    base = random_model(rng)
+    controls = tuple(np.einsum("i,ikl->kl", rng.normal(size=3), PAULIS) for _ in range(3))
+    return TwoQubitModel(base.omega_a, base.omega_b, base.lam, base.jumps, controls)
+
+
+def test_control_generators_leave_b_pinned_block_and_drift_exactly_zero(rng):
+    pinned = [4, 5, 7, 8, 10, 11, 13, 14]
+    rest = [c for c in range(16) if c not in pinned]
+    vas, _ = random_factorized_states(rng, 50)
+    for _ in range(8):
+        model = random_control_model(rng)
+        assert not model.has_default_controls()
+        _, mc = control_generators(model)
+        assert np.any(mc)
+        assert not np.any(mc[:, 13:16])  # the vB rows
+        assert not np.any(mc[:, pinned][:, :, rest])
+        for j in range(3):
+            assert not np.any(_drift_coefficients(mc[j], vas))
+
+
+def test_reports_see_a_control_that_reaches_b(monkeypatch):
+    def leaky(model):
+        m0, mc = control_generators(model)
+        mc[1, 14, 2] = 1e-3  # vB2 row, vA2 column: pinned against the rest
+        return m0, mc
+
+    monkeypatch.setattr(protection, "control_generators", leaky)
+    with pytest.raises(AssertionError, match="vB rows"):
+        axis1_escape_report(compatible_sigma31_model())
+    assert dispersive_zero_pattern(make_model(Coupling("dispersive", 0.8))) == 1e-3
 
 
 # -- dispersive invariant submanifold ----------------------------------------
@@ -414,10 +460,10 @@ def test_resonant_fixed_point_line_under_pure_dephasing():
 
 def test_axis1_branch_escape_rate():
     model = compatible_sigma31_model(omega_b=1.1)
-    report = axis1_escape_report(model, n_levels=3, n_states=10, seed=2)
+    report = axis1_escape_report(model, n_states=10, seed=2)
     assert report["min_escape_rate"] == pytest.approx(1.1, abs=1e-10)
     frozen = compatible_sigma31_model(omega_b=0.0)
-    report0 = axis1_escape_report(frozen, n_levels=3, n_states=10, seed=2)
+    report0 = axis1_escape_report(frozen, n_states=10, seed=2)
     assert report0["min_escape_rate"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -456,7 +502,6 @@ def test_axis1_escape_report_matches_per_control_loop(model, seed):
     report = axis1_escape_report(model, seed=seed)
     expected = axis1_escape_reference(model, seed)
     assert report["min_escape_rate"] == pytest.approx(expected, rel=0, abs=1e-15)
-    assert report["control_bound"] == 2.0
 
 
 def test_axis1_drift_vanishes_but_dynamics_escape(rng):
