@@ -12,7 +12,6 @@ from .coherence import (
     factorization_residual,
     from_coherence,
     is_density_image,
-    is_factorized,
     lambda_basis,
     physicality_defect,
     to_coherence,
@@ -42,14 +41,12 @@ from .generator import (
 from .model import TwoQubitModel, load_model, save_model
 from .protection import (
     Coupling,
-    FactorizedState,
     IncompatibleDissipationError,
     axis1_escape_report,
     closed_form_drift,
     compatibility,
     dispersive_invariant_report,
     dispersive_zero_pattern,
-    factorization_drift,
     make_model,
     protected_run,
     protecting_control,

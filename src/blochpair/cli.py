@@ -215,14 +215,14 @@ def _cmd_analyze_w(args) -> int:
         if model is None:
             model = make_model(coupling, omega_a=0.7, omega_b=1.1, jumps=(SIGMA_MINUS,))
         report["axis1_escape"] = axis1_escape_report(model, seed=args.seed)
-    out = args.out or _default_out("w_report.json")
-    atomic_write_text(out, json.dumps(report, indent=2) + "\n")
-    print(json.dumps({"out": out, "max_residual": worst}))
-    if not worst <= ORACLE_RESIDUAL_LIMIT:  # NaN fails too
+    if not worst <= ORACLE_RESIDUAL_LIMIT:  # NaN fails too; no report is written
         return _emit_error(
             EXIT_NUMERICAL,
             f"transcription residual {worst:.3e} is not within {ORACLE_RESIDUAL_LIMIT:.1e}",
         )
+    out = args.out or _default_out("w_report.json")
+    atomic_write_text(out, json.dumps(report, indent=2) + "\n")
+    print(json.dumps({"out": out, "max_residual": worst}))
     return EXIT_OK
 
 

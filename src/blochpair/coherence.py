@@ -41,7 +41,6 @@ __all__ = [
     "from_coherence",
     "reduced_purity",
     "factorization_residual",
-    "is_factorized",
     "embed_factorized",
     "physicality_defect",
     "is_density_image",
@@ -52,9 +51,6 @@ IDX_C0 = 0
 VA = slice(1, 4)
 VAB = slice(4, 13)
 VB = slice(13, 16)
-
-#: threshold below which a state counts as factorized
-FACTORIZATION_TOL = 1e-8
 
 
 def ab_slot(i: int, j: int) -> int:
@@ -132,11 +128,6 @@ def factorization_residual(v) -> float:
     flat = _as_flat(v)
     prod = 2.0 * np.outer(flat[VA], flat[VB]).reshape(9)
     return float(np.linalg.norm(flat[VAB] - prod))
-
-
-def is_factorized(v) -> bool:
-    """Whether the correlation block is within ``FACTORIZATION_TOL`` of product form."""
-    return factorization_residual(v) <= FACTORIZATION_TOL
 
 
 def embed_factorized(va, vb) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coherence import VA, VB, from_coherence, is_density_image, physicality_defect
+from .coherence import VA, VAB, VB, from_coherence, is_density_image, physicality_defect
 from .coherence import _as_flat, _square_norm, reduced_purity
 from .generator import assemble_blocks, control_generators
 from .model import TwoQubitModel
@@ -337,7 +337,7 @@ def purity_rate_b(model: TwoQubitModel, v) -> float:
     flat = _as_flat(v)
     blocks = assemble_blocks(model, np.zeros(3))
     vb = flat[VB]
-    return 4.0 * float(vb @ (blocks.h_b @ vb) + vb @ (blocks.h_ib @ flat[4:13]))
+    return 4.0 * float(vb @ (blocks.h_b @ vb) + vb @ (blocks.h_ib @ flat[VAB]))
 
 
 def require_interior(v0) -> None:

@@ -109,17 +109,16 @@ class GeneratorBlocks:
 
     ``h_a`` and ``h_b`` are the 3x3 rotation generators of the two
     qubits, ``h_it`` (3x9) and ``h_ib`` (3x9) the coupling blocks acting
-    on the correlation coordinates from the ``vA`` and ``vB`` rows, and
-    ``h_il = -h_it.T``, ``h_ir = -h_ib.T`` their partners fixed by
-    antisymmetry of the Hamiltonian part.  ``d_hat`` and ``v0`` are the
-    dissipation blocks of :func:`dissipator_blocks`.
+    on the correlation coordinates from the ``vA`` and ``vB`` rows; their
+    partners in the ``vAB`` rows, ``-h_it.T`` and ``-h_ib.T``, are fixed by
+    antisymmetry of the Hamiltonian part and placed by
+    :func:`assemble_generator`.  ``d_hat`` and ``v0`` are the dissipation
+    blocks of :func:`dissipator_blocks`.
     """
 
     h_a: np.ndarray
     h_b: np.ndarray
     h_it: np.ndarray
-    h_il: np.ndarray
-    h_ir: np.ndarray
     h_ib: np.ndarray
     d_hat: np.ndarray
     v0: np.ndarray
@@ -142,16 +141,7 @@ def assemble_blocks(model: TwoQubitModel, u) -> GeneratorBlocks:
         h_it += np.kron(_T[j - 1], lam[j - 1, :].reshape(1, 3))
         h_ib += np.kron(lam[:, j - 1].reshape(1, 3), _T[j - 1])
     d_hat, v0 = dissipator_blocks(model.jumps)
-    return GeneratorBlocks(
-        h_a=h_a,
-        h_b=h_b,
-        h_it=h_it,
-        h_il=-h_it.T,
-        h_ir=-h_ib.T,
-        h_ib=h_ib,
-        d_hat=d_hat,
-        v0=v0,
-    )
+    return GeneratorBlocks(h_a=h_a, h_b=h_b, h_it=h_it, h_ib=h_ib, d_hat=d_hat, v0=v0)
 
 
 def assemble_generator(blocks: GeneratorBlocks) -> np.ndarray:
@@ -160,13 +150,13 @@ def assemble_generator(blocks: GeneratorBlocks) -> np.ndarray:
     m[VA, 0] = blocks.v0
     m[VA, VA] = blocks.h_a + blocks.d_hat
     m[VA, VAB] = blocks.h_it
-    m[VAB, VA] = blocks.h_il
+    m[VAB, VA] = -blocks.h_it.T
     m[VAB, VAB] = (
         np.kron(blocks.h_a, _I3)
         + np.kron(_I3, blocks.h_b)
         + np.kron(blocks.d_hat, _I3)
     )
-    m[VAB, VB] = blocks.h_ir + np.kron(blocks.v0.reshape(3, 1), _I3)
+    m[VAB, VB] = -blocks.h_ib.T + np.kron(blocks.v0.reshape(3, 1), _I3)
     m[VB, VAB] = blocks.h_ib
     m[VB, VB] = blocks.h_b
     return m

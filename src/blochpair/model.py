@@ -66,13 +66,19 @@ class TwoQubitModel:
     control_hams: tuple = field(default_factory=default_control_hams)
 
     def __post_init__(self):
+        omega_a, omega_b = float(self.omega_a), float(self.omega_b)
         lam = np.asarray(self.lam, dtype=float)
         if lam.shape != (3, 3):
             raise ValueError(f"coupling matrix must be 3x3, got {lam.shape}")
+        for name, value in (("omega_a", omega_a), ("omega_b", omega_b), ("lam", lam)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         jumps = tuple(np.asarray(j, dtype=complex) for j in self.jumps)
         for k, ell in enumerate(jumps):
             if ell.shape != (2, 2):
                 raise ValueError(f"jump operator {k} must be 2x2, got {ell.shape}")
+            if not np.all(np.isfinite(ell)):
+                raise ValueError(f"jump operator {k} must be finite")
             if abs(np.trace(ell)) > _TRACELESS_TOL:
                 raise ValueError(f"jump operator {k} is not traceless")
         ctrls = tuple(np.asarray(h, dtype=complex) for h in self.control_hams)
@@ -81,12 +87,14 @@ class TwoQubitModel:
         for k, h in enumerate(ctrls):
             if h.shape != (2, 2):
                 raise ValueError(f"control Hamiltonian {k} must be 2x2")
+            if not np.all(np.isfinite(h)):
+                raise ValueError(f"control Hamiltonian {k} must be finite")
             if hermiticity_defect(h) > _TRACELESS_TOL:
                 raise ValueError(f"control Hamiltonian {k} is not Hermitian")
             if abs(np.trace(h)) > _TRACELESS_TOL:
                 raise ValueError(f"control Hamiltonian {k} is not traceless")
-        object.__setattr__(self, "omega_a", float(self.omega_a))
-        object.__setattr__(self, "omega_b", float(self.omega_b))
+        object.__setattr__(self, "omega_a", omega_a)
+        object.__setattr__(self, "omega_b", omega_b)
         object.__setattr__(self, "lam", _freeze(lam))
         object.__setattr__(self, "jumps", tuple(_freeze(j) for j in jumps))
         object.__setattr__(self, "control_hams", tuple(_freeze(h) for h in ctrls))

@@ -15,8 +15,11 @@ oracles, and the case-study tooling (invariant submanifolds,
 dissipation compatibility, the protecting control law and the reduced
 B dynamics) lives here as well.
 
-The reports evaluate stacks of factorized states, plain ``(..., 16)``
-float arrays built by :func:`~blochpair.coherence.embed_factorized`.
+Factorized states have one calling convention: a pair of ``(n, 3)``
+stacks ``vas``, ``vbs`` of the blocks ``vA`` and ``vB``.  The generator
+route :func:`drift_batch` and the closed forms :func:`closed_form_drift`
+both take them and return ``(n, 9)`` drifts; the full ``(..., 16)``
+states are built by :func:`~blochpair.coherence.embed_factorized`.
 Claims that hold for every control value are read off the affine split
 ``M(u) = M0 + sum_j u_j Mc[j]`` of
 :func:`~blochpair.generator.control_generators` instead of a grid of
@@ -47,11 +50,9 @@ from .quantum import SIGMA_MINUS
 
 __all__ = [
     "Coupling",
-    "FactorizedState",
     "random_factorized_states",
     "make_model",
     "require_coupling",
-    "factorization_drift",
     "drift_batch",
     "closed_form_drift",
     "transcription_report",
@@ -129,32 +130,6 @@ def require_coupling(model: TwoQubitModel, coupling: Coupling) -> None:
         raise ValueError(f"model coupling matrix does not match the {coupling.tag} coupling case")
 
 
-@dataclass(frozen=True, eq=False)
-class FactorizedState:
-    """Blocks ``(vA, vB)`` of a state with a pure reduced B qubit.
-
-    ``|vB|`` must equal ``1/2`` (B on its Bloch sphere) and ``|vA|`` may
-    not exceed ``1/2``; the full coherence vector is recovered with
-    :meth:`embed`.
-    """
-
-    va: np.ndarray
-    vb: np.ndarray
-
-    def __post_init__(self):
-        va = np.asarray(self.va, dtype=float).reshape(3)
-        vb = np.asarray(self.vb, dtype=float).reshape(3)
-        if abs(vb @ vb - 0.25) > 1e-10:
-            raise ValueError(f"|vB|^2 must be 1/4, got {vb @ vb:.12f}")
-        if va @ va > 0.25 + 1e-10:
-            raise ValueError(f"|vA|^2 must not exceed 1/4, got {va @ va:.12f}")
-        object.__setattr__(self, "va", va)
-        object.__setattr__(self, "vb", vb)
-
-    def embed(self) -> np.ndarray:
-        return embed_factorized(self.va, self.vb)
-
-
 def random_factorized_states(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays ``(vA (n,3), vB (n,3))``: vA uniform in the half-ball radius, vB on the sphere."""
     va = rng.normal(size=(n, 3))
@@ -172,10 +147,11 @@ def drift_batch(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
     """Factorization drift of many factorized states under a fixed generator.
 
     ``m`` is a 16x16 generator, ``vas``/``vbs`` are (n, 3) stacks.
-    Returns an (n, 9) array.
+    Returns an (n, 9) array.  This generator route is the single source
+    of truth: :func:`closed_form_drift` is checked against it, never the
+    other way around.
     """
-    vas = np.atleast_2d(vas)
-    vbs = np.atleast_2d(vbs)
+    vas, vbs = np.atleast_2d(vas, vbs)
     rates = embed_factorized(vas, vbs) @ m.T
     coupled = np.einsum("ni,nj->nij", rates[:, VA], vbs) + np.einsum(
         "ni,nj->nij", vas, rates[:, VB]
@@ -219,32 +195,18 @@ def _drift_coefficients(m: np.ndarray, vas: np.ndarray) -> np.ndarray:
     return coef.reshape(n, 9, 10)
 
 
-def factorization_drift(model: TwoQubitModel, state: FactorizedState, u) -> np.ndarray:
-    """Drift of the product form at ``state`` under ``model`` and control ``u``.
-
-    Computed through the assembled generator (single source of truth);
-    the closed forms in :func:`closed_form_drift` are checked against
-    this function, never the other way around.
-    """
-    m = generator(model, np.asarray(u, dtype=float).reshape(3))
-    return drift_batch(m, state.va[None, :], state.vb[None, :])[0]
-
-
-def closed_form_drift(coupling: Coupling, state: FactorizedState) -> np.ndarray:
-    """Transcribed closed form of the factorization drift.
+def closed_form_drift(coupling: Coupling, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
+    """Transcribed closed form of the factorization drift, (n, 9) for (n, 3) stacks.
 
     Supported for the dispersive and resonant couplings; the
     ``sigma3-sigma1`` case has no published closed form and is handled
-    through :func:`factorization_drift` directly.
+    through :func:`drift_batch` directly.  This is the oracle the
+    generator route is checked against, so it is written out from the
+    paper and never derived from the generator.
     """
-    va = state.va
-    vb = state.vb
-    return _closed_form_drift_arrays(coupling, va[None, :], vb[None, :])[0]
-
-
-def _closed_form_drift_arrays(coupling: Coupling, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    a1, a2, a3 = va[:, 0], va[:, 1], va[:, 2]
-    b1, b2, b3 = vb[:, 0], vb[:, 1], vb[:, 2]
+    vas, vbs = np.atleast_2d(vas, vbs)
+    a1, a2, a3 = vas[:, 0], vas[:, 1], vas[:, 2]
+    b1, b2, b3 = vbs[:, 0], vbs[:, 1], vbs[:, 2]
     g = coupling.g
     if coupling.tag == "dispersive":
         w = np.stack(
@@ -307,7 +269,7 @@ def transcription_report(
     model = make_model(coupling, omega_a, omega_b, jumps)
     m = generator(model, _TRANSCRIPTION_U)
     numeric = drift_batch(m, vas, vbs)
-    closed = _closed_form_drift_arrays(coupling, vas, vbs)
+    closed = closed_form_drift(coupling, vas, vbs)
     residuals = np.max(np.abs(numeric - closed), axis=1)
     worst = int(np.argmax(residuals))
     return {
@@ -442,7 +404,7 @@ def dispersive_invariant_report(
     traj = integrate(model, v0, law, horizon, step)
     z2 = traj.states[:, _Z2_INDICES]
     max_z2 = float(np.max(np.linalg.norm(z2, axis=1)))
-    max_vb3_dev = float(np.max(np.abs(np.abs(traj.states[:, 15]) - 0.5)))
+    max_vb3_dev = float(np.max(np.abs(np.abs(traj.states[:, VB][:, 2]) - 0.5)))
     return {
         "max_z2": max_z2,
         "max_vb3_deviation": max_vb3_dev,
@@ -615,7 +577,7 @@ def axis1_escape_report(
         raise AssertionError("control generators reach the vB rows (or are not finite)")
     poles = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     states = embed_factorized(vas[None, :, :], poles[:, None, :]).reshape(-1, 16)
-    rates = states @ m0[14:16].T  # rows vB2, vB3
+    rates = states @ m0[VB][1:].T  # rows vB2, vB3
     return {
         "min_escape_rate": float(np.min(np.linalg.norm(rates, axis=-1))),
         "omega_b": model.omega_b,
@@ -639,11 +601,14 @@ def protected_run(
 
     Returns the trajectory together with the reduced rotation generator
     the realized ``vB(t)`` should follow.  ``model`` must carry the
-    coupling matrix of ``coupling``.
+    coupling matrix of ``coupling``, and ``vb0`` must put B on its Bloch
+    sphere, ``|vB| = 1/2``.
     """
     require_coupling(model, coupling)
     law = protecting_law(model, va3)
-    state = FactorizedState(np.array([0.0, 0.0, va3]), np.asarray(vb0, dtype=float))
-    traj = integrate(model, state.embed(), law, horizon, step)
+    vb0 = np.asarray(vb0, dtype=float).reshape(3)
+    if abs(vb0 @ vb0 - 0.25) > 1e-10:
+        raise ValueError(f"|vB|^2 must be 1/4, got {vb0 @ vb0:.12f}")
+    traj = integrate(model, embed_factorized([0.0, 0.0, va3], vb0), law, horizon, step)
     rot = reduced_b_generator(coupling, va3, model.omega_b)
     return traj, rot

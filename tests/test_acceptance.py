@@ -27,6 +27,7 @@ from blochpair.dynamics import (
 from blochpair.generator import generator, numeric_generator
 from blochpair.protection import (
     Coupling,
+    closed_form_drift,
     dispersive_invariant_report,
     drift_batch,
     make_model,
@@ -34,7 +35,6 @@ from blochpair.protection import (
     random_factorized_states,
     resonant_obstruction_report,
     transcription_report,
-    _closed_form_drift_arrays,
 )
 from blochpair.quantum import SIGMA_MINUS, partial_trace_a, pauli, purity, tensor
 from conftest import random_density_matrix, random_model, random_pure_state
@@ -129,11 +129,11 @@ def test_criterion_04_closed_form_transcription():
     # 1..8 are generically active and component 9 is identically zero
     rng = np.random.default_rng(104)
     vas, vbs = random_factorized_states(rng, 400)
-    w_general = _closed_form_drift_arrays(Coupling("dispersive", 0.85), vas, vbs)
+    w_general = closed_form_drift(Coupling("dispersive", 0.85), vas, vbs)
     pinned_b = vbs.copy()
     pinned_b[:, :2] = 0.0
     pinned_b[:, 2] = 0.5
-    w_pinned = _closed_form_drift_arrays(Coupling("dispersive", 0.85), vas, pinned_b)
+    w_pinned = closed_form_drift(Coupling("dispersive", 0.85), vas, pinned_b)
     general_active = np.max(np.abs(w_general), axis=0)
     print(
         "[acceptance 04] dispersive component magnitudes, general factorized states: "

@@ -248,7 +248,7 @@ def test_simulate_unphysical_state_is_numerical_error(damping_model_path, tmp_pa
     assert json.loads(err)["error"]["code"] == 3
 
 
-def test_simulate_non_finite_model_is_numerical_error(damping_model_path, tmp_path, capsys):
+def test_simulate_non_finite_model_is_config_error(damping_model_path, tmp_path, capsys):
     doc = json.loads(damping_model_path.read_text())
     doc["omega_a"] = float("nan")
     nan_path = tmp_path / "nan_model.json"
@@ -257,9 +257,11 @@ def test_simulate_non_finite_model_is_numerical_error(damping_model_path, tmp_pa
         ["simulate", "--model", nan_path, "--horizon", "1", "--out", tmp_path / "t.csv"],
         capsys,
     )
-    assert code == 3
+    assert code == 2
     assert stdout == ""
-    assert json.loads(err)["error"]["code"] == 3
+    assert json.loads(err)["error"]["code"] == 2
+    assert "omega_a must be finite" in json.loads(err)["error"]["message"]
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_simulate_non_finite_control_file_is_config_error(damping_model_path, tmp_path, capsys):
@@ -331,7 +333,7 @@ def test_analyze_w_non_finite_coupling_is_config_error(case, g, tmp_path, capsys
     assert not out.exists()
 
 
-def test_analyze_w_non_finite_model_fails_the_oracle(damping_model_path, tmp_path, capsys):
+def test_analyze_w_non_finite_model_is_config_error(damping_model_path, tmp_path, capsys):
     doc = json.loads(damping_model_path.read_text())
     doc["omega_a"] = float("nan")
     nan_path = tmp_path / "nan_model.json"
@@ -340,11 +342,11 @@ def test_analyze_w_non_finite_model_fails_the_oracle(damping_model_path, tmp_pat
         ["analyze-w", "--case", "dispersive", "--model", nan_path, "--out", tmp_path / "w.json"],
         capsys,
     )
-    assert code == 3
-    assert json.loads(err)["error"]["code"] == 3
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == 2
 
 
-def test_analyze_w_sigma31_non_finite_model_fails_the_certificate(tmp_path, capsys):
+def test_analyze_w_sigma31_non_finite_model_is_config_error(tmp_path, capsys):
     model = make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1, (SIGMA_MINUS,))
     doc = model.to_dict()
     doc["omega_b"] = float("nan")
@@ -354,8 +356,21 @@ def test_analyze_w_sigma31_non_finite_model_fails_the_certificate(tmp_path, caps
         ["analyze-w", "--case", "sigma3-sigma1", "--model", nan_path, "--out", tmp_path / "w.json"],
         capsys,
     )
+    assert code == 2
+    assert "omega_b must be finite" in json.loads(err)["error"]["message"]
+
+
+def test_analyze_w_oracle_failure_writes_nothing(tmp_path, capsys):
+    # a finite model whose drifts overflow the oracle's tolerance: the gate
+    # fails before any report or summary is written
+    out = tmp_path / "w.json"
+    code, stdout, err = run_cli(
+        ["analyze-w", "--case", "dispersive", "--g", "1e200", "--out", out], capsys
+    )
     assert code == 3
-    assert "vB rows" in json.loads(err)["error"]["message"]
+    assert stdout == ""
+    assert "transcription residual" in json.loads(err)["error"]["message"]
+    assert not out.exists()
 
 
 def test_analyze_w_resonant_with_sweep(tmp_path, capsys):

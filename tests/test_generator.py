@@ -64,7 +64,7 @@ def test_dispersive_coupling_block_pattern():
     blocks = assemble_blocks(model, np.zeros(3))
     expected = g * np.kron(t_matrices()[2], np.array([[0.0, 0.0, 1.0]]))
     np.testing.assert_allclose(blocks.h_it, expected, atol=1e-15)
-    np.testing.assert_allclose(blocks.h_il, -expected.T, atol=1e-15)
+    np.testing.assert_allclose(assemble_generator(blocks)[VAB, VA], -expected.T, atol=1e-15)
 
 
 def test_amplitude_damping_blocks():
@@ -174,6 +174,22 @@ def test_model_rejects_bad_inputs():
         TwoQubitModel(
             0.0, 0.0, np.zeros((3, 3)), (), (np.array([[0, 1], [0, 0]]),) * 3
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["omega_a", "omega_b", "lam", "jump operator 0", "control Hamiltonian 1"])
+def test_model_rejects_non_finite_entries(field, bad):
+    kwargs = {"omega_a": 0.3, "omega_b": 0.9, "lam": np.eye(3), "jumps": (SIGMA_MINUS,)}
+    if field in ("omega_a", "omega_b"):
+        kwargs[field] = bad
+    elif field == "lam":
+        kwargs["lam"] = np.diag([1.0, bad, 1.0])
+    elif field.startswith("jump"):
+        kwargs["jumps"] = (np.array([[0.0, bad], [0.0, 0.0]]),)
+    else:
+        kwargs["control_hams"] = (pauli(1), np.array([[0.0, bad], [bad, 0.0]]), pauli(3))
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TwoQubitModel(**kwargs)
 
 
 def test_model_json_round_trip(tmp_path, rng):

@@ -3,13 +3,12 @@ import pytest
 from scipy.linalg import expm
 
 from blochpair import protection
-from blochpair.coherence import factorization_residual
+from blochpair.coherence import embed_factorized, factorization_residual
 from blochpair.dynamics import ControlLaw, integrate
 from blochpair.generator import control_generators, dissipator_blocks, generator, t_matrices
 from blochpair.model import TwoQubitModel
 from blochpair.protection import (
     Coupling,
-    FactorizedState,
     IncompatibleDissipationError,
     _drift_coefficients,
     _monomials,
@@ -19,7 +18,6 @@ from blochpair.protection import (
     dispersive_invariant_report,
     dispersive_zero_pattern,
     drift_batch,
-    factorization_drift,
     make_model,
     protected_run,
     protecting_control,
@@ -64,14 +62,13 @@ def test_coupling_rejects_non_finite_strength(tag, g):
         Coupling(tag, g)
 
 
-def test_factorized_state_validation():
-    FactorizedState([0.0, 0.0, 0.5], [0.0, 0.0, 0.5])
+def test_protected_run_requires_b_on_its_sphere():
+    model = compatible_sigma31_model()
+    coupling = Coupling("sigma3-sigma1", 0.9)
+    protected_run(model, coupling, -0.5, [0.0, 0.0, 0.5], 0.01, 1e-3)
     with pytest.raises(ValueError, match="vB"):
-        FactorizedState([0.0, 0.0, 0.0], [0.0, 0.0, 0.4])
-    with pytest.raises(ValueError, match="vA"):
-        FactorizedState([0.6, 0.0, 0.0], [0.0, 0.0, 0.5])
-    s = FactorizedState([0.1, 0.0, 0.2], [0.3, 0.4, 0.0])
-    assert factorization_residual(s.embed()) == 0.0
+        protected_run(model, coupling, -0.5, [0.0, 0.0, 0.4], 0.01, 1e-3)
+    assert factorization_residual(embed_factorized([0.1, 0.0, 0.2], [0.3, 0.4, 0.0])) == 0.0
 
 
 # -- factorization drift ------------------------------------------------------
@@ -89,8 +86,7 @@ def test_dispersive_drift_on_invariant_configurations():
     model = make_model(c)
     for va3 in (0.5, -0.5):
         for vb3 in (0.5, -0.5):
-            s = FactorizedState([0.0, 0.0, va3], [0.0, 0.0, vb3])
-            w = factorization_drift(model, s, ZERO_U)
+            w = drift_batch(generator(model, ZERO_U), [0.0, 0.0, va3], [0.0, 0.0, vb3])
             assert np.max(np.abs(w)) < 1e-14
 
 
@@ -99,8 +95,7 @@ def test_dispersive_drift_example_state():
     # the eighth is g/2; the sign conventions follow the generator route
     g = 1.0
     model = make_model(Coupling("dispersive", g))
-    s = FactorizedState([0.0, 0.25, 0.0], [0.5, 0.0, 0.0])
-    w = factorization_drift(model, s, ZERO_U)
+    w = drift_batch(generator(model, ZERO_U), [0.0, 0.25, 0.0], [0.5, 0.0, 0.0])[0]
     assert w[2] == pytest.approx(-g / 4.0, abs=1e-13)
     assert abs(w[2]) == pytest.approx(g * 0.25 * (1 - 4 * 0.0**2), abs=1e-13)
     assert w[7] == pytest.approx(g / 2.0, abs=1e-13)
@@ -108,24 +103,21 @@ def test_dispersive_drift_example_state():
 
 def test_dispersive_components_on_pinned_branches(rng):
     # pinning either qubit at a sigma_3 pole kills the whole drift
-    model = make_model(Coupling("dispersive", 0.9))
+    m = generator(make_model(Coupling("dispersive", 0.9)), ZERO_U)
     for _ in range(20):
         va = rng.normal(size=3)
         va *= 0.5 * rng.uniform() ** (1 / 3) / np.linalg.norm(va)
-        s = FactorizedState(va, [0.0, 0.0, 0.5])
-        assert np.max(np.abs(factorization_drift(model, s, ZERO_U))) < 1e-14
+        assert np.max(np.abs(drift_batch(m, va, [0.0, 0.0, 0.5]))) < 1e-14
         phi = rng.uniform(0, 2 * np.pi)
-        s2 = FactorizedState(
-            [0.0, 0.0, -0.5], 0.5 * np.array([np.cos(phi), np.sin(phi), 0.0])
-        )
-        assert np.max(np.abs(factorization_drift(model, s2, ZERO_U))) < 1e-14
+        vb = 0.5 * np.array([np.cos(phi), np.sin(phi), 0.0])
+        assert np.max(np.abs(drift_batch(m, [0.0, 0.0, -0.5], vb))) < 1e-14
 
 
 def test_resonant_drift_vanishes_at_aligned_poles():
     model = make_model(Coupling("resonant", 1.3))
-    s = FactorizedState([0, 0, 0.5], [0, 0, 0.5])
-    assert np.max(np.abs(factorization_drift(model, s, np.array([0.5, -0.3, 0.2])))) < 1e-14
-    assert np.max(np.abs(closed_form_drift(Coupling("resonant", 1.3), s))) < 1e-14
+    va = vb = np.array([[0.0, 0.0, 0.5]])
+    assert np.max(np.abs(drift_batch(generator(model, [0.5, -0.3, 0.2]), va, vb))) < 1e-14
+    assert np.max(np.abs(closed_form_drift(Coupling("resonant", 1.3), va, vb))) < 1e-14
 
 
 @pytest.mark.parametrize("tag", ["dispersive", "resonant"])
@@ -136,9 +128,9 @@ def test_closed_form_matches_generator_route(tag, rng):
 
 
 def test_closed_form_rejects_sigma31():
-    s = FactorizedState([0, 0, 0.5], [0, 0, 0.5])
+    va = vb = np.array([[0.0, 0.0, 0.5]])
     with pytest.raises(ValueError, match="closed-form"):
-        closed_form_drift(Coupling("sigma3-sigma1", 1.0), s)
+        closed_form_drift(Coupling("sigma3-sigma1", 1.0), va, vb)
 
 
 def test_drift_batch_matches_hand_built_states(rng):
@@ -333,7 +325,7 @@ def test_reduced_b_generator_matches_full_generator(tag, va3, rng):
     for _ in range(10):
         vb = rng.normal(size=3)
         vb *= 0.5 / np.linalg.norm(vb)
-        state = FactorizedState([0.0, 0.0, va3], vb).embed()
+        state = embed_factorized([0.0, 0.0, va3], vb)
         vb_rate = (m @ state)[13:16]
         np.testing.assert_allclose(vb_rate, rot @ vb, atol=1e-12)
 
@@ -507,8 +499,8 @@ def test_axis1_escape_report_matches_per_control_loop(model, seed):
 def test_axis1_drift_vanishes_but_dynamics_escape(rng):
     # the drift cannot see the axis-1 obstruction: it vanishes there
     model = make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1)
+    m = generator(model, ZERO_U)
     for _ in range(10):
         va = rng.normal(size=3)
         va *= 0.5 * rng.uniform() ** (1 / 3) / np.linalg.norm(va)
-        s = FactorizedState(va, [0.5, 0.0, 0.0])
-        assert np.max(np.abs(factorization_drift(model, s, ZERO_U))) < 1e-13
+        assert np.max(np.abs(drift_batch(m, va, [0.5, 0.0, 0.0]))) < 1e-13
