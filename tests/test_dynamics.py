@@ -11,6 +11,8 @@ from blochpair.dynamics import (
     BoundaryStateError,
     ControlLaw,
     PhysicalityError,
+    Trajectory,
+    atomic_write_text,
     integrate,
     purification_scan,
     purity_rate_b,
@@ -78,6 +80,13 @@ def test_feedback_bound_enforced():
     model = closed_model()
     with pytest.raises(ValueError, match="bound"):
         integrate(model, MIXED16, law, 1.0, 1e-2)
+
+
+def test_feedback_nan_control_violates_bound():
+    # ``nan > bound`` is false; the bound check must still refuse the value
+    law = ControlLaw.feedback(lambda t, v: [math.nan, 0.0, 0.0], bound=1.0)
+    with pytest.raises(ValueError, match="control value nan"):
+        integrate(closed_model(), MIXED16, law, 1.0, 1e-2)
 
 
 def test_c0_exactly_constant(rng):
@@ -153,6 +162,16 @@ def test_piecewise_segments_snap_to_grid(rng):
     # breakpoint lands on step index round(0.2501 / 0.1) = 3
     np.testing.assert_array_equal(traj.controls[2], [1, 0, 0])
     np.testing.assert_array_equal(traj.controls[3], [0, 1, 0])
+    assert "dropped_segments" not in traj.metadata["law"]
+
+
+def test_segments_dropped_by_snapping_are_reported():
+    # the middle segment [0.5, 0.5002) is shorter than half a step
+    law = ControlLaw.piecewise_constant([0.0, 0.5, 0.5002], [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    traj = integrate(closed_model(), MIXED16, law, 1.0, 1e-3)
+    assert np.max(np.abs(traj.controls)) == 0.0
+    info = traj.metadata["law"]
+    assert info == {"kind": "piecewise-constant", "segments": 3, "dropped_segments": 1}
 
 
 def test_physicality_abort():
@@ -222,6 +241,40 @@ def test_trajectory_export_deterministic(tmp_path):
         write_trajectory_csv(traj, p)
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_csv_stream_matches_per_field_reference(tmp_path, rng):
+    # 600 rows: two full blocks of 256 and a partial one
+    n = 600
+    states = rng.uniform(-1, 1, (n, 16))
+    states[:4, 1:5] = [[-0.0, 5e-324, 1e17, 0.1]] * 4
+    controls = rng.uniform(-1, 1, (n, 3))
+    controls[n - 1] = [-0.0, 5e-324, 0.1]
+    traj = Trajectory(times=np.arange(n) * 0.1, states=states, controls=controls)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path)
+
+    table = np.column_stack(
+        [traj.times, controls, states, traj.purity_full, traj.purity_a, traj.purity_b]
+    )
+    lines = [path.read_text().split("\n", 1)[0]]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in table]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert b",-0,4.9406564584124654e-324,1e+17,0.10000000000000001," in path.read_bytes()
+
+
+def test_atomic_write_failing_chunks_leave_nothing(tmp_path):
+    def chunks():
+        yield "first chunk\n"
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        atomic_write_text(target, chunks())
+    assert list(tmp_path.iterdir()) == []
+    atomic_write_text(target, iter(["a,", "b\n"]))
+    assert target.read_text() == "a,b\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_purification_scan_basics(rng):
