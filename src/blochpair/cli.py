@@ -184,7 +184,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze_w(args) -> int:
     coupling = Coupling(args.case, args.g)
-    model = _load_model_arg(args.model) if args.model else None
+    model, noise = None, {}
+    if args.model:  # the file supplies frequencies and dissipation; --case and --g the coupling
+        source = _load_model_arg(args.model)
+        noise = {"omega_a": source.omega_a, "omega_b": source.omega_b, "jumps": source.jumps}
+        model = make_model(coupling, **noise)
     report: dict = {
         "version": __version__,
         "case": args.case,
@@ -193,14 +197,7 @@ def _cmd_analyze_w(args) -> int:
     }
     worst = 0.0
     if args.case in ("dispersive", "resonant"):
-        kwargs = {}
-        if model is not None:
-            kwargs = {
-                "omega_a": model.omega_a,
-                "omega_b": model.omega_b,
-                "jumps": model.jumps,
-            }
-        osc = transcription_report(coupling, n_samples=args.samples, seed=args.seed, **kwargs)
+        osc = transcription_report(coupling, n_samples=args.samples, seed=args.seed, **noise)
         report["transcription"] = osc
         worst = osc["max_residual"]
     if args.case == "resonant":
@@ -265,7 +262,7 @@ def _build_parser() -> _Parser:
     ana = sub.add_parser("analyze-w", help="drift transcription oracle and obstruction sweep")
     ana.add_argument("--case", required=True, choices=COUPLING_TAGS)
     ana.add_argument("--g", type=float, default=1.0)
-    ana.add_argument("--model", default=None, help="optional model JSON supplying dissipation")
+    ana.add_argument("--model", default=None, help="optional model JSON supplying frequencies and dissipation")
     ana.add_argument("--samples", type=int, default=500)
     ana.add_argument("--grid-step", type=float, default=0.05)
     ana.add_argument("--random-samples", type=int, default=10_000)

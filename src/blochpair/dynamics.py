@@ -17,6 +17,7 @@ zero derivative (first generator row is zero), so it stays at exactly
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -26,9 +27,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .coherence import VA, VAB, VB, from_coherence, is_density_image, physicality_defect
+from .coherence import VA, VB, from_coherence, is_density_image, physicality_defect
 from .coherence import _as_flat, _square_norm, reduced_purity
-from .generator import assemble_blocks, control_generators
+from .generator import control_generators
 from .model import TwoQubitModel
 
 __all__ = [
@@ -84,10 +85,12 @@ class ControlLaw:
     ``[times[k], times[k+1])`` with breakpoints snapped to the step
     grid; sampled laws interpolate linearly between samples;
     state-feedback laws call ``callback(t, v)`` with the current
-    16-component coherence vector.  If ``bound`` is set, every evaluated
-    value must satisfy ``max|u_i| <= bound``, which must be finite and
-    non-negative.  The piecewise-constant and sampled constructors
-    require finite times and values.
+    16-component coherence vector.  Every constructor checks the law as
+    it is built: the kind, a callable feedback ``callback``, one finite
+    triple per finite, strictly increasing time, ``times[0] == 0``
+    (piecewise-constant), two samples or more (sampled), and a finite
+    ``bound >= 0`` met by the given values (kept as read-only copies);
+    interpolated and feedback values are held to it as a run computes them.
     """
 
     kind: str
@@ -99,40 +102,39 @@ class ControlLaw:
     def __post_init__(self):
         if self.bound is not None and not (np.isfinite(self.bound) and self.bound >= 0):
             raise ValueError(f"control bound must be finite and >= 0, got {self.bound}")
-
-    @classmethod
-    def constant(cls, u, bound: float | None = None) -> "ControlLaw":
-        values = np.asarray(u, dtype=float).reshape(1, 3)
-        return cls.piecewise_constant([0.0], values, bound=bound)
-
-    @classmethod
-    def piecewise_constant(cls, times, values, bound: float | None = None) -> "ControlLaw":
-        law = cls._from_samples("piecewise-constant", times, values, bound)
-        if law.times[0] != 0.0:
-            raise ValueError("first breakpoint must be t = 0")
-        return law
-
-    @classmethod
-    def sampled(cls, times, values, bound: float | None = None) -> "ControlLaw":
-        law = cls._from_samples("sampled", times, values, bound)
-        if law.times.shape[0] < 2:
-            raise ValueError("sampled law needs at least two samples")
-        return law
-
-    @classmethod
-    def _from_samples(cls, kind: str, times, values, bound: float | None) -> "ControlLaw":
-        """Checks shared by the piecewise-constant and sampled constructors."""
-        times = np.asarray(times, dtype=float).reshape(-1)
-        values = np.asarray(values, dtype=float).reshape(-1, 3)
+        if self.kind == "state-feedback":
+            if not callable(self.callback):
+                raise ValueError("a state-feedback law needs a callable callback")
+            return
+        if self.kind not in ("piecewise-constant", "sampled"):
+            raise ValueError(f"unknown control-law kind {self.kind!r}")
+        times = np.array(self.times, dtype=float).reshape(-1)  # own copies, read-only below
+        values = np.array(self.values, dtype=float).reshape(-1, 3)
         if times.shape[0] != values.shape[0] or times.shape[0] == 0:
             raise ValueError("need one control value per time, at least one")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("control times and values must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("control times must be strictly increasing")
-        law = cls(kind, times=times, values=values, bound=bound)
-        law._check_bound(values)
-        return law
+        if self.kind == "piecewise-constant" and times[0] != 0.0:
+            raise ValueError("first breakpoint must be t = 0")
+        if self.kind == "sampled" and times.shape[0] < 2:
+            raise ValueError("sampled law needs at least two samples")
+        times.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", self._check_bound(values))
+
+    @classmethod
+    def constant(cls, u, bound: float | None = None) -> "ControlLaw":
+        return cls("piecewise-constant", [0.0], u, bound=bound)
+
+    @classmethod
+    def piecewise_constant(cls, times, values, bound: float | None = None) -> "ControlLaw":
+        return cls("piecewise-constant", times, values, bound=bound)
+
+    @classmethod
+    def sampled(cls, times, values, bound: float | None = None) -> "ControlLaw":
+        return cls("sampled", times, values, bound=bound)
 
     @classmethod
     def feedback(cls, callback: Callable, bound: float | None = None) -> "ControlLaw":
@@ -200,19 +202,19 @@ def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float) -> np.nda
     return eye + (h / 6.0) * (m1 + 2.0 * a2 + 2.0 * a3 + a4)
 
 
+@functools.lru_cache(maxsize=4)
+def _split(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray]:
+    """``control_generators(model)``, built once per model (models hash by identity)."""
+    m0, mc = control_generators(model)
+    m0.flags.writeable = mc.flags.writeable = False
+    return m0, mc
+
+
 def _segment_bounds(law: ControlLaw, n_steps: int, step: float) -> list[tuple[int, int, np.ndarray]]:
     """Breakpoints snapped to the step grid; (start, stop, value) triples."""
-    idx = np.round(law.times / step).astype(int)
-    idx = np.clip(idx, 0, n_steps)
-    segments = []
-    for k in range(idx.shape[0]):
-        start = idx[k]
-        stop = idx[k + 1] if k + 1 < idx.shape[0] else n_steps
-        if stop > start:
-            segments.append((int(start), int(stop), law.values[k]))
-    if not segments:
-        segments.append((0, n_steps, law.values[-1]))
-    return segments
+    idx = np.clip(np.round(law.times / step).astype(int), 0, n_steps)
+    stops = np.append(idx[1:], n_steps)
+    return [(int(a), int(b), u) for a, b, u in zip(idx, stops, law.values) if b > a]
 
 
 def integrate(
@@ -235,21 +237,20 @@ def integrate(
         Finite; ``step > 0`` and ``horizon >= step``.  ``horizon`` is
         snapped to the nearest integer number of steps.
 
+    Every trajectory, the scan's included, comes from here; the affine
+    split of ``model`` is built on its first call and reused.
+
     Raises
     ------
     ValueError
-        If the start state is not positive semi-definite (checked once).
+        If the start state is not positive semi-definite (checked once),
+        or a control computed during the run breaks the law's bound.
     PhysicalityError
         If the start or any recorded state violates the norm constraints
         by more than :data:`ABORT_TOL`, or is not finite.  The worst
         defect, and whether it stays within :data:`WARN_TOL`, is reported
         in ``metadata["physicality"]``.
     """
-    return _integrate(model, control_generators(model), v0, law, horizon, step)
-
-
-def _integrate(model, split, v0, law, horizon, step):
-    """:func:`integrate` with the ``control_generators(model)`` split given."""
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (np.isfinite(horizon) and horizon >= step):
@@ -264,7 +265,7 @@ def _integrate(model, split, v0, law, horizon, step):
     if not is_density_image(start):
         raise ValueError("start state is not a density matrix: it has a negative eigenvalue")
 
-    m0, mc = split
+    m0, mc = _split(model)
     mc_rows = mc.reshape(3, -1)
 
     def generator_at(u):  # M0 + sum_j u_j Mc_j, for one control or a stack of them
@@ -280,7 +281,6 @@ def _integrate(model, split, v0, law, horizon, step):
         if len(segments) < len(law.times):  # segments that snap to no step of the grid
             law_info["dropped_segments"] = len(law.times) - len(segments)
         for seg_start, seg_stop, u in segments:
-            law._check_bound(u)
             m = generator_at(u)
             powers = _rk4_map(m, m, m, step)[None]
             while len(powers) < min(_BLOCK, seg_stop - seg_start):  # r^1 ... r^B by doubling
@@ -300,7 +300,7 @@ def _integrate(model, split, v0, law, horizon, step):
             for k, r in enumerate(_rk4_map(m[0], m[1], m[2], step), start=k0):
                 states[k + 1] = r @ states[k]
         controls[n_steps] = law(times[n_steps])
-    elif law.kind == "state-feedback":
+    else:  # state-feedback
 
         def rhs(t, y):
             u = law(t, y)
@@ -314,8 +314,6 @@ def _integrate(model, split, v0, law, horizon, step):
             k4, _ = rhs(t + step, v + step * k3)
             states[k + 1] = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         controls[n_steps] = law(times[n_steps], states[n_steps])
-    else:
-        raise ValueError(f"unknown control-law kind {law.kind!r}")
 
     # argmax returns the first NaN, and ``not <=`` rejects it
     defects = np.atleast_1d(physicality_defect(states))
@@ -341,15 +339,15 @@ def _integrate(model, split, v0, law, horizon, step):
 def purity_rate_b(model: TwoQubitModel, v) -> float:
     """Instantaneous time derivative of ``Tr(rho_B^2)``.
 
-    Equals ``4 (<vB, h_b vB> + <vB, h_ib vAB>)``; the first inner
-    product vanishes identically because ``h_b`` is antisymmetric, so
-    only the coupling term can change the reduced purity of B.  The
-    value does not depend on the control or on the jump operators.
+    Equals ``4 <vB, M0[VB] v>``, read off the ``vB`` rows of the affine
+    split.  The controls drop out because those rows of every ``Mc_j``
+    are zero, and the jumps because they act on A only.  Of the rest,
+    ``<vB, h_b vB>`` vanishes since ``h_b`` is antisymmetric, so only the
+    coupling term ``<vB, h_ib vAB>`` can change the reduced purity of B.
     """
     flat = _as_flat(v)
-    blocks = assemble_blocks(model, np.zeros(3))
     vb = flat[VB]
-    return 4.0 * float(vb @ (blocks.h_b @ vb) + vb @ (blocks.h_ib @ flat[VAB]))
+    return 4.0 * float(vb @ (_split(model)[0][VB] @ flat))
 
 
 def require_interior(v0) -> None:
@@ -386,18 +384,18 @@ def purification_scan(
 
     For every law the flow is integrated once to the largest horizon and
     the running maximum of the reduced purity of B is read off at each
-    requested horizon.  The reported margins ``1 - max_t Tr(rho_B^2)``
-    are numerical evidence only; no finite sample of control laws can
-    prove unreachability.
+    requested horizon; each entry's ``law_info`` is the trajectory's
+    ``metadata["law"]``.  The margins ``1 - max_t Tr(rho_B^2)`` are
+    numerical evidence only; no finite sample of control laws can prove
+    unreachability.
     """
     horizons = [float(h) for h in np.atleast_1d(horizons)]
     t_max = max(horizons)
     require_interior(v0)
-    split = control_generators(model)
     entries = []
     min_margin = np.inf
     for idx, law in enumerate(laws):
-        traj = _integrate(model, split, v0, law, t_max, step)
+        traj = integrate(model, v0, law, t_max, step)
         running_max = np.maximum.accumulate(traj.purity_b)
         per_horizon = []
         for t_h in horizons:
@@ -405,10 +403,8 @@ def purification_scan(
             peak = float(running_max[min(k, len(traj) - 1)])
             margin = 1.0 - peak
             min_margin = min(min_margin, margin)
-            per_horizon.append(
-                {"horizon": t_h, "max_purity_b": peak, "margin": margin}
-            )
-        entries.append({"law": idx, "law_info": law.describe(), "per_horizon": per_horizon})
+            per_horizon.append({"horizon": t_h, "max_purity_b": peak, "margin": margin})
+        entries.append({"law": idx, "law_info": traj.metadata["law"], "per_horizon": per_horizon})
     return {
         "label": "numerical evidence",
         "step": float(step),

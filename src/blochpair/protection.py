@@ -474,7 +474,9 @@ def resonant_obstruction_report(
     only way full purity can survive the noise).
 
     ``grid_step`` must be finite, positive and small enough that some
-    point of the ``vA`` grid lies in the ball.
+    point of the ``vA`` grid lies in the ball.  A given ``model`` must
+    carry the resonant coupling of strength ``g``; it supplies the local
+    frequencies and the dissipation.
     """
     if not (np.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid_step must be finite and > 0, got {grid_step}")
@@ -483,6 +485,7 @@ def resonant_obstruction_report(
     coupling = Coupling("resonant", g)
     if model is None:
         model = make_model(coupling, omega_a=0.9, omega_b=1.1, jumps=(SIGMA_MINUS,))
+    require_coupling(model, coupling)
     m = generator(model, np.array([0.3, -0.2, 0.1]))
 
     axis = np.arange(-0.5, 0.5 + grid_step / 2.0, grid_step)

@@ -399,6 +399,34 @@ def test_analyze_w_resonant_with_sweep(tmp_path, capsys):
     assert sweep["min_va_norm_at_zero"] is None or sweep["min_va_norm_at_zero"] >= 0.5 - 1e-6
 
 
+def test_analyze_w_model_file_supplies_noise_not_coupling(tmp_path, capsys):
+    # a dispersive file with the default frequencies and noise: the resonant
+    # case must sweep the resonant coupling of --g, as without --model
+    dispersive = tmp_path / "dispersive.json"
+    save_model(make_model(Coupling("dispersive", 1.0), 0.9, 1.1, (SIGMA_MINUS,)), dispersive)
+    reports = {}
+    for name, extra in (("file", ["--model", dispersive]), ("default", [])):
+        out = tmp_path / f"w_{name}.json"
+        args = ["analyze-w", "--case", "resonant", "--g", "0.7", "--grid-step", "0.25", "--out", out]
+        assert run_cli(args + extra, capsys)[0] == 0
+        reports[name] = json.loads(out.read_text())["obstruction"]
+    assert reports["file"] == reports["default"]
+    assert reports["file"]["n_drift_zero_points"] == 26
+    assert reports["file"]["min_va_norm_at_zero"] == 0.5
+    assert reports["file"]["min_drift_off_sphere"] == pytest.approx(0.0195, abs=1e-4)
+
+
+def test_analyze_w_sigma31_with_resonant_model_file(damping_model_path, tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code, _, _ = run_cli(
+        ["analyze-w", "--case", "sigma3-sigma1", "--model", damping_model_path, "--out", out],
+        capsys,
+    )
+    assert code == 0
+    escape = json.loads(out.read_text())["axis1_escape"]
+    assert escape["min_escape_rate"] == pytest.approx(escape["expected_rate"], abs=1e-9)
+
+
 @pytest.mark.parametrize("grid_step", ["0", "-0.1"])
 def test_analyze_w_rejects_empty_grid_step(grid_step, tmp_path, capsys):
     out = tmp_path / "w.json"

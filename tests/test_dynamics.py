@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from blochpair import dynamics
 from blochpair.coherence import embed_factorized, physicality_defect, to_coherence
 from blochpair.dynamics import (
     ABORT_TOL,
@@ -64,6 +65,31 @@ def test_control_law_constructors():
 def test_control_law_rejects_non_finite_inputs(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ControlLaw("piecewise-constant", times=np.array([0.5]), values=np.zeros((1, 3))), "t = 0"),
+        (lambda: ControlLaw("sampled", times=np.array([0.0]), values=np.zeros((1, 3))), "two samples"),
+        (lambda: ControlLaw("bogus"), "kind"),
+        (lambda: ControlLaw("state-feedback"), "callback"),
+    ],
+    ids=["piecewise-late-start", "sampled-one-sample", "unknown-kind", "feedback-no-callback"],
+)
+def test_directly_built_law_is_checked(make, message):
+    # the dataclass constructor runs the same checks as the named constructors
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_control_law_values_cannot_change_after_checks():
+    values = np.zeros((2, 3))
+    law = ControlLaw.piecewise_constant([0.0, 1.0], values, bound=1.0)
+    values[1, 0] = 5.0  # the caller's array is not the law's
+    assert np.max(np.abs(law.values)) == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        law.values[1, 0] = 5.0
 
 
 @pytest.mark.parametrize("bound", [-1.0, -1e-12])
@@ -289,6 +315,42 @@ def test_purification_scan_basics(rng):
         assert all(m > 0 for m in margins)
 
 
+def test_purification_scan_reports_dropped_segments():
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
+    law = ControlLaw.piecewise_constant([0.0, 0.5, 0.5002], [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    report = purification_scan(model, MIXED16, [law], [1.0], 1e-3)
+    info = report["entries"][0]["law_info"]
+    assert info == {"kind": "piecewise-constant", "segments": 3, "dropped_segments": 1}
+
+
+def test_purification_scan_calls_integrate_once_per_law(rng, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", counted)
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
+    laws = [ControlLaw.constant([0, 0, 0])] + random_control_laws(rng, 3, 1.0, 2.0)
+    purification_scan(model, MIXED16, laws, [1.0, 2.0], 1e-2)
+    assert calls == laws
+
+
+def test_control_split_built_once_per_model(rng, monkeypatch):
+    builds = []
+
+    def counted(model):
+        builds.append(model)
+        return control_generators(model)
+
+    monkeypatch.setattr(dynamics, "control_generators", counted)
+    model = random_model(rng)
+    for u in ([0, 0, 0], [0.1, 0.2, 0.3]):
+        integrate(model, MIXED16, ControlLaw.constant(u), 0.1, 1e-2)
+    assert builds == [model]
+
+
 def test_purification_scan_rejects_boundary(rng):
     model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (SIGMA_MINUS,))
     pure = embed_factorized([0, 0, 0.5], [0, 0, 0.5])
@@ -453,14 +515,14 @@ def test_piecewise_matches_exact_propagator_at_segment_ends(rng):
 
 
 def test_sampled_half_step_control_is_bound_checked():
-    # the constructor checks the samples; this one bypasses it so only
-    # the half-step value 5 exceeds the bound, never a full-step value
+    # only the half-step sample 5 exceeds the bound, never a full-step
+    # value; every construction path checks the samples, so such a law
+    # is refused before it can integrate
     step = 1e-2
-    law = ControlLaw(
-        "sampled",
-        times=np.array([0.0, 0.5 * step, step, 1.0]),
-        values=np.array([[0, 0, 0], [5, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=float),
-        bound=1.0,
-    )
     with pytest.raises(ValueError, match="bound"):
-        integrate(closed_model(), MIXED16, law, 1.0, step)
+        ControlLaw(
+            "sampled",
+            times=np.array([0.0, 0.5 * step, step, 1.0]),
+            values=np.array([[0, 0, 0], [5, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=float),
+            bound=1.0,
+        )

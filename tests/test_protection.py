@@ -391,6 +391,11 @@ def obstruction_sweep_reference(g, grid_step, n_random, seed):
             min_off = min(min_off, np.min(wnorm[off]))
     return zeros, min_norm, worst, min_off
 
+def test_resonant_obstruction_report_requires_resonant_model():
+    model = make_model(Coupling("dispersive", 1.0), 0.9, 1.1, (SIGMA_MINUS,))
+    with pytest.raises(ValueError, match="resonant"):
+        resonant_obstruction_report(0.7, grid_step=0.25, n_random=10, model=model)
+
 
 @pytest.mark.parametrize("grid_step", [0.125, 0.25])
 @pytest.mark.parametrize("seed", [0, 5])
