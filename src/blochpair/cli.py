@@ -120,8 +120,6 @@ def _initial_state(spec: str) -> np.ndarray:
 def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | None]:
     """Returns the law and, for the protecting law, a suggested start state."""
     spec = args.control
-    if spec is None:
-        return ControlLaw.constant(_parse_triple(args.u0, "--u0")), None
     if spec.startswith("constant:"):
         return ControlLaw.constant(_parse_triple(spec[len("constant:") :], "--control")), None
     if spec.startswith("piecewise:") or spec.startswith("sampled:"):
@@ -184,11 +182,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze_w(args) -> int:
     coupling = Coupling(args.case, args.g)
-    model, noise = None, {}
+    model = None
     if args.model:  # the file supplies frequencies and dissipation; --case and --g the coupling
         source = _load_model_arg(args.model)
-        noise = {"omega_a": source.omega_a, "omega_b": source.omega_b, "jumps": source.jumps}
-        model = make_model(coupling, **noise)
+        model = make_model(coupling, source.omega_a, source.omega_b, source.jumps)
     report: dict = {
         "version": __version__,
         "case": args.case,
@@ -197,7 +194,7 @@ def _cmd_analyze_w(args) -> int:
     }
     worst = 0.0
     if args.case in ("dispersive", "resonant"):
-        osc = transcription_report(coupling, n_samples=args.samples, seed=args.seed, **noise)
+        osc = transcription_report(coupling, n_samples=args.samples, seed=args.seed, model=model)
         report["transcription"] = osc
         worst = osc["max_residual"]
     if args.case == "resonant":
@@ -251,8 +248,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--model", required=True, help="model JSON file")
     sim.add_argument("--horizon", type=float, default=20.0)
     sim.add_argument("--step", type=float, default=1e-3)
-    sim.add_argument("--u0", default="0,0,0", help="constant control a,b,c")
-    sim.add_argument("--control", default=None, help="constant:a,b,c | piecewise:FILE | sampled:FILE | feedback:protect-sigma31")
+    sim.add_argument("--control", default="constant:0,0,0", help="constant:a,b,c | piecewise:FILE | sampled:FILE | "
+                     "feedback:protect-sigma31 (the constant protecting control (u1, u2, 0), not state feedback)")
     sim.add_argument("--v0", default=None, help="mixed | product:ax,ay,az:bx,by,bz")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default=None)

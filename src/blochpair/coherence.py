@@ -148,17 +148,15 @@ def embed_factorized(va, vb) -> np.ndarray:
 def physicality_defect(states) -> np.ndarray:
     """Worst violation of the norm constraints, per state.
 
-    Accepts a single 16-vector or an (n, 16) stack and returns the
-    (broadcast) maximum of the positive parts of ``|v|^2 - 1``,
-    ``|vA|^2 - 1/4`` and ``|vB|^2 - 1/4``.  Values at or below zero mean
-    all bounds hold.
+    A 16-vector gives a scalar and an (n, 16) stack an (n,) array: per
+    state the maximum of ``|v|^2 - 1``, ``|vA|^2 - 1/4`` and
+    ``|vB|^2 - 1/4``.  Values at or below zero mean all bounds hold.
     """
-    arr = np.atleast_2d(np.asarray(states, dtype=float))
+    arr = np.asarray(states, dtype=float)
     full = _square_norm(arr) - 1.0
-    norm_a = _square_norm(arr[:, VA]) - 0.25
-    norm_b = _square_norm(arr[:, VB]) - 0.25
-    defect = np.maximum(np.maximum(full, norm_a), norm_b)
-    return defect if defect.size > 1 else defect[0]
+    norm_a = _square_norm(arr[..., VA]) - 0.25
+    norm_b = _square_norm(arr[..., VB]) - 0.25
+    return np.maximum(np.maximum(full, norm_a), norm_b)
 
 
 def is_density_image(v) -> bool:

@@ -83,14 +83,16 @@ class ControlLaw:
     kind is one of ``"piecewise-constant"``, ``"sampled"`` or
     ``"state-feedback"``.  Piecewise-constant laws hold ``values[k]`` on
     ``[times[k], times[k+1])`` with breakpoints snapped to the step
-    grid; sampled laws interpolate linearly between samples;
-    state-feedback laws call ``callback(t, v)`` with the current
-    16-component coherence vector.  Every constructor checks the law as
-    it is built: the kind, a callable feedback ``callback``, one finite
-    triple per finite, strictly increasing time, ``times[0] == 0``
-    (piecewise-constant), two samples or more (sampled), and a finite
-    ``bound >= 0`` met by the given values (kept as read-only copies);
-    interpolated and feedback values are held to it as a run computes them.
+    grid; sampled laws interpolate linearly between samples and hold the
+    first and last sample outside them, so a run past the last sample
+    time keeps its last value; state-feedback laws call
+    ``callback(t, v)`` with the current 16-component coherence vector.
+    Every constructor checks the law as it is built: the kind, a
+    callable feedback ``callback``, one finite triple per finite,
+    strictly increasing time, ``times[0] == 0`` (piecewise-constant),
+    two samples or more (sampled), and a finite ``bound >= 0`` met by
+    the given values (kept as read-only copies); interpolated and
+    feedback values are held to it as a run computes them.
     """
 
     kind: str
@@ -316,7 +318,7 @@ def integrate(
         controls[n_steps] = law(times[n_steps], states[n_steps])
 
     # argmax returns the first NaN, and ``not <=`` rejects it
-    defects = np.atleast_1d(physicality_defect(states))
+    defects = physicality_defect(states)
     worst = int(np.argmax(defects))
     report = {
         "max_defect": float(defects[worst]),
@@ -360,7 +362,7 @@ def require_interior(v0) -> None:
     """
     flat = _as_flat(v0)
     full_purity = float(_square_norm(flat))
-    if full_purity >= 1.0 - _INTERIOR_PURITY_MARGIN:
+    if not full_purity < 1.0 - _INTERIOR_PURITY_MARGIN:  # NaN fails too
         raise BoundaryStateError(
             f"initial state has full purity {full_purity:.9f}; "
             "a strictly interior (mixed, non-singular) state is required"

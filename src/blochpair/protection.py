@@ -79,6 +79,8 @@ _DRIFT_TOL = 1e-9
 #: this small keep each temporary near 0.3 MB, so the allocator reuses its
 #: memory instead of mapping and faulting in fresh pages on every chunk
 _SWEEP_CHUNK = 4096
+#: random ``vA`` blocks at which the axis-1 escape rate is evaluated
+_AXIS1_STATES = 20
 
 
 @dataclass(frozen=True)
@@ -249,24 +251,23 @@ def transcription_report(
     coupling: Coupling,
     n_samples: int = 500,
     seed: int = 0,
-    omega_a: float = 0.7,
-    omega_b: float = 1.3,
-    jumps=None,
+    model: TwoQubitModel | None = None,
 ) -> dict:
     """Compare closed-form and generator-route drifts on random states.
 
     The comparison model deliberately carries local frequencies,
     a control offset and dissipation: the generator route must shed all
     of them on factorized states, so a match certifies both the
-    transcription and the cancellation structure.
+    transcription and the cancellation structure.  A given ``model``
+    must carry the coupling matrix of ``coupling``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if jumps is None:
-        jumps = (0.5 * SIGMA_MINUS,)
+    if model is None:
+        model = make_model(coupling, 0.7, 1.3, (0.5 * SIGMA_MINUS,))
+    require_coupling(model, coupling)
     rng = np.random.default_rng(seed)
     vas, vbs = random_factorized_states(rng, n_samples)
-    model = make_model(coupling, omega_a, omega_b, jumps)
     m = generator(model, _TRANSCRIPTION_U)
     numeric = drift_batch(m, vas, vbs)
     closed = closed_form_drift(coupling, vas, vbs)
@@ -332,10 +333,10 @@ def protecting_control(model: TwoQubitModel, va3: float) -> tuple[float, float]:
     return float(u1), float(u2)
 
 
-def protecting_law(model: TwoQubitModel, va3: float, bound: float | None = None) -> ControlLaw:
+def protecting_law(model: TwoQubitModel, va3: float) -> ControlLaw:
     """The protecting control packaged as a (constant) control law."""
     u1, u2 = protecting_control(model, va3)
-    return ControlLaw.constant([u1, u2, 0.0], bound=bound)
+    return ControlLaw.constant([u1, u2, 0.0])
 
 
 def reduced_b_generator(coupling: Coupling, va3: float, omega_b: float) -> np.ndarray:
@@ -556,11 +557,7 @@ def resonant_obstruction_report(
 # -- sigma3-sigma1: rejection of the axis-1 branch -----------------------------
 
 
-def axis1_escape_report(
-    model: TwoQubitModel,
-    seed: int = 0,
-    n_states: int = 20,
-) -> dict:
+def axis1_escape_report(model: TwoQubitModel, seed: int = 0) -> dict:
     """First-order escape rate from ``rho_A x (I +/- sigma_1)/2`` states.
 
     Pinning B at a ``sigma_1`` pole makes the factorization drift vanish
@@ -574,7 +571,7 @@ def axis1_escape_report(
     case the branch is not excluded by this first-order argument.
     """
     rng = np.random.default_rng(seed)
-    vas, _ = random_factorized_states(rng, n_states)
+    vas, _ = random_factorized_states(rng, _AXIS1_STATES)
     m0, mc = control_generators(model)
     if np.any(mc[:, VB]):
         raise AssertionError("control generators reach the vB rows (or are not finite)")

@@ -68,8 +68,8 @@ def test_simulate_damping_monotone_purity_a(pure_damping_model_path, tmp_path, c
             "5",
             "--step",
             "1e-3",
-            "--u0",
-            "0,0,0",
+            "--control",
+            "constant:0,0,0",
             "--out",
             out,
         ],
@@ -96,8 +96,8 @@ def test_simulate_uncoupled_b_constant(uncoupled_model_path, tmp_path, capsys):
             "2",
             "--step",
             "1e-3",
-            "--u0",
-            "0.5,0,0.3",
+            "--control",
+            "constant:0.5,0,0.3",
             "--out",
             out,
         ],
@@ -523,6 +523,18 @@ def test_purification_scan_rejects_boundary_start(damping_model_path, tmp_path, 
     )
     assert code == 2
     assert "interior" in json.loads(err)["error"]["message"]
+
+
+def test_purification_scan_rejects_nan_start(damping_model_path, tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    code, stdout, err = run_cli(
+        ["purification-scan", "--model", damping_model_path, "--v0", "product:nan,0,0:0,0,0", "--out", out],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "initial state has full purity nan" in json.loads(err)["error"]["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("horizons", ["10,inf", "nan"])

@@ -176,6 +176,15 @@ def test_physicality_defect(rng):
     assert defects[1] > defects[0]
 
 
+def test_physicality_defect_one_value_per_stacked_state(rng):
+    v = to_coherence(random_density_matrix(rng))
+    assert np.ndim(physicality_defect(v)) == 0
+    for n in (1, 2, 5):
+        defects = physicality_defect(np.tile(v, (n, 1)))
+        assert defects.shape == (n,)
+        np.testing.assert_array_equal(defects, physicality_defect(v))
+
+
 def test_bloch_vector_array_round_trip(rng):
     # every constructor hands out the flat float array itself
     va, vb = np.array([0.1, -0.2, 0.15]), np.array([0.0, 0.3, 0.4])

@@ -366,6 +366,13 @@ def test_purification_scan_rejects_boundary(rng):
         )
 
 
+def test_purification_scan_rejects_non_finite_start():
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (SIGMA_MINUS,))
+    start = embed_factorized([np.nan, 0, 0], [0, 0, 0])
+    with pytest.raises(BoundaryStateError, match="full purity nan"):
+        purification_scan(model, start, [ControlLaw.constant([0, 0, 0])], [1.0], 1e-2)
+
+
 def test_purification_scan_from_near_pure_interior_start(rng):
     # a mixed but almost-pure interior state still cannot reach a pure
     # reduced B state in finite time

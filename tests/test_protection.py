@@ -127,6 +127,14 @@ def test_closed_form_matches_generator_route(tag, rng):
     assert report["max_residual"] < 1e-11
 
 
+def test_transcription_report_takes_the_model_it_checks():
+    coupling = Coupling("resonant", 1.0)
+    with pytest.raises(ValueError, match="resonant"):
+        transcription_report(coupling, model=make_model(Coupling("dispersive", 1.0), 0.7, 1.3))
+    default = make_model(coupling, 0.7, 1.3, (0.5 * SIGMA_MINUS,))
+    assert transcription_report(coupling, model=default) == transcription_report(coupling)
+
+
 def test_closed_form_rejects_sigma31():
     va = vb = np.array([[0.0, 0.0, 0.5]])
     with pytest.raises(ValueError, match="closed-form"):
@@ -457,10 +465,10 @@ def test_resonant_fixed_point_line_under_pure_dephasing():
 
 def test_axis1_branch_escape_rate():
     model = compatible_sigma31_model(omega_b=1.1)
-    report = axis1_escape_report(model, n_states=10, seed=2)
+    report = axis1_escape_report(model, seed=2)
     assert report["min_escape_rate"] == pytest.approx(1.1, abs=1e-10)
     frozen = compatible_sigma31_model(omega_b=0.0)
-    report0 = axis1_escape_report(frozen, n_states=10, seed=2)
+    report0 = axis1_escape_report(frozen, seed=2)
     assert report0["min_escape_rate"] == pytest.approx(0.0, abs=1e-12)
 
 
