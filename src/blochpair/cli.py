@@ -285,6 +285,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a numerical failure
+        return _emit_error(EXIT_NUMERICAL, str(exc))
     except (CliConfigError, ValueError) as exc:  # includes BoundaryStateError, IncompatibleDissipationError
         return _emit_error(EXIT_CONFIG, str(exc))
     except PhysicalityError as exc:

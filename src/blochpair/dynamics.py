@@ -3,10 +3,12 @@
 Fixed-step classical Runge-Kutta of order 4.  Under an open-loop law
 each step is one 16x16 map ``R`` built from the generators at ``t``,
 ``t + h/2`` and ``t + h``.  A piecewise-constant segment builds its map
-once, with the powers ``R^1 ... R^B`` by repeated doubling, and fills
-each block of ``B`` states with one product; a sampled law builds the
-maps of ``B`` steps at a time as one stack.  State-feedback laws keep
-stage evaluation, as the law must see each stage state.  All three form
+once, with the powers ``R^1 ... R^B`` by repeated doubling, chains the
+block starts (each ``R^B`` times the one before) and fills all its full
+blocks of ``B`` states with one matrix product, keeping the chained
+starts as block ends; a sampled law builds the maps of ``B`` steps at a
+time as one stack.  State-feedback laws keep stage evaluation, as the
+law must see each stage state.  All three form
 ``M(u) = M0 + sum_j u_j Mc_j`` with one matmul on the control split.
 
 Trajectories record every step.  The ``c0`` component has identically
@@ -287,11 +289,17 @@ def integrate(
             powers = _rk4_map(m, m, m, step)[None]
             while len(powers) < min(_BLOCK, seg_stop - seg_start):  # r^1 ... r^B by doubling
                 powers = np.concatenate([powers, powers[-1] @ powers])
-            rows = powers.reshape(-1, 16)  # a block is then one BLAS mat-vec
+            rows, n = powers.reshape(-1, 16), len(powers)
+            n_full, tail = divmod(seg_stop - seg_start, n)
+            anchors = [states[seg_start]]  # block starts: each is r^B times the one before
+            for _ in range(n_full):
+                anchors.append(powers[-1] @ anchors[-1])
+            anchors, k = np.array(anchors), seg_stop - tail
+            full = states[seg_start + 1 : k + 1]  # every full block from one GEMM
+            np.matmul(anchors[:-1], rows.T, out=full.reshape(n_full, 16 * n))
+            full[n - 1 :: n] = anchors[1:]  # block ends hold the propagated anchors
+            states[k + 1 : seg_stop + 1] = (rows[: 16 * tail] @ anchors[-1]).reshape(tail, 16)
             controls[seg_start:seg_stop] = u
-            for k in range(seg_start, seg_stop, len(powers)):
-                n = min(len(powers), seg_stop - k)
-                states[k + 1 : k + 1 + n] = (rows[: 16 * n] @ states[k]).reshape(n, 16)
         controls[n_steps] = controls[n_steps - 1]
     elif law.kind == "sampled":
         for k0 in range(0, n_steps, _BLOCK):
@@ -398,15 +406,15 @@ def purification_scan(
     min_margin = np.inf
     for idx, law in enumerate(laws):
         traj = integrate(model, v0, law, t_max, step)
-        running_max = np.maximum.accumulate(traj.purity_b)
+        purity_b, law_info = traj.purity_b, traj.metadata["law"]
+        del traj  # one trajectory alive at a time
         per_horizon = []
         for t_h in horizons:
-            k = int(round(t_h / step))
-            peak = float(running_max[min(k, len(traj) - 1)])
+            peak = float(purity_b[: int(round(t_h / step)) + 1].max())
             margin = 1.0 - peak
             min_margin = min(min_margin, margin)
             per_horizon.append({"horizon": t_h, "max_purity_b": peak, "margin": margin})
-        entries.append({"law": idx, "law_info": traj.metadata["law"], "per_horizon": per_horizon})
+        entries.append({"law": idx, "law_info": law_info, "per_horizon": per_horizon})
     return {
         "label": "numerical evidence",
         "step": float(step),

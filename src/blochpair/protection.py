@@ -569,7 +569,9 @@ def axis1_escape_report(model: TwoQubitModel, seed: int = 0) -> dict:
     rate at which the pole constraints ``(vB2, vB3) = 0`` are violated.
     The rate degenerates to zero exactly when ``omega_b = 0``, in which
     case the branch is not excluded by this first-order argument.
+    ``model`` must carry a sigma3-sigma1 coupling.
     """
+    require_coupling(model, Coupling("sigma3-sigma1", model.lam[2, 0]))
     rng = np.random.default_rng(seed)
     vas, _ = random_factorized_states(rng, _AXIS1_STATES)
     m0, mc = control_generators(model)

@@ -537,6 +537,20 @@ def test_purification_scan_rejects_nan_start(damping_model_path, tmp_path, capsy
     assert not out.exists()
 
 
+def test_lapack_failure_is_numerical_error(damping_model_path, tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet a failed eigensolver is no configuration error
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    out = tmp_path / "scan.json"
+    code, stdout, err = run_cli(["purification-scan", "--model", damping_model_path, "--out", out], capsys)
+    assert code == 3
+    assert stdout == ""
+    assert json.loads(err)["error"]["message"] == "Eigenvalues did not converge"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizons", ["10,inf", "nan"])
 def test_purification_scan_rejects_non_finite_horizons(horizons, damping_model_path, tmp_path, capsys):
     code, stdout, err = run_cli(

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from blochpair import dynamics
 from blochpair.coherence import embed_factorized, physicality_defect, to_coherence
 from blochpair.dynamics import (
+    _BLOCK,
     ABORT_TOL,
     BoundaryStateError,
     ControlLaw,
@@ -20,6 +21,7 @@ from blochpair.dynamics import (
     random_control_laws,
     write_trajectory_csv,
     write_trajectory_json,
+    _rk4_map,
 )
 from blochpair.generator import control_generators
 from blochpair.model import TwoQubitModel
@@ -468,6 +470,75 @@ def test_piecewise_blocks_match_sequential_stepping(rng):
             expected.append(v)
     np.testing.assert_allclose(traj.states, np.array(expected), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(traj.controls[starts], values)
+
+
+def _stepped(model, v0, breaks, values, n_steps, step):
+    """States of a piecewise-constant law, one RK4 map ``v = R @ v`` per step."""
+    split = control_generators(model)
+    stops = [*breaks[1:], n_steps]
+    states = [v0]
+    for start, stop, u in zip(breaks, stops, values):
+        m = _generator(split, u)
+        r = _rk4_map(m, m, m, step)
+        for _ in range(start, stop):
+            states.append(r @ states[-1])
+    return np.array(states)
+
+
+@pytest.mark.parametrize(
+    "breaks, n_steps",
+    [
+        ([0], 1),
+        ([0], _BLOCK - 1),
+        ([0], _BLOCK),
+        ([0], _BLOCK + 1),
+        ([0], 3 * _BLOCK),
+        ([0], 3 * _BLOCK + 7),
+        ([0, 100, _BLOCK + 300], 3 * _BLOCK + 50),  # breakpoints inside blocks
+    ],
+    ids=["1", "B-1", "B", "B+1", "3B", "3B+7", "3-segments"],
+)
+def test_piecewise_gemm_matches_per_step_loop(rng, breaks, n_steps):
+    step = 1e-3
+    model = random_model(rng)
+    values = rng.uniform(-1, 1, (len(breaks), 3))
+    law = ControlLaw.piecewise_constant(np.array(breaks) * step, values)
+    v0 = to_coherence(random_density_matrix(rng))
+    traj = integrate(model, v0, law, n_steps * step, step)
+    expected = _stepped(model, v0, breaks, values, n_steps, step)
+    np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-14)
+
+
+def test_piecewise_block_ends_are_the_anchor_chain(rng):
+    # each recorded block end is r^B times the block start, computed as
+    # integrate computes it: r^B by doubling, then one mat-vec per block
+    step, n_steps = 1e-3, 5 * _BLOCK + 40
+    model = random_model(rng)
+    u = rng.uniform(-1, 1, 3)
+    traj = integrate(model, to_coherence(random_density_matrix(rng)), ControlLaw.constant(u), n_steps * step, step)
+    m0, mc = control_generators(model)
+    m = m0 + (u @ mc.reshape(3, -1)).reshape(16, 16)
+    powers = _rk4_map(m, m, m, step)[None]
+    while len(powers) < _BLOCK:
+        powers = np.concatenate([powers, powers[-1] @ powers])
+    anchor = traj.states[0]
+    for k in range(_BLOCK, n_steps + 1, _BLOCK):
+        anchor = powers[-1] @ anchor
+        np.testing.assert_array_equal(traj.states[k], anchor)
+
+
+def test_purification_scan_peaks_are_running_maxima(rng):
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
+    laws = [ControlLaw.constant([0, 0, 0])] + random_control_laws(rng, 3, 1.0, 3.0)
+    horizons, step = [0.001, 0.5, 1.2345, 3.0], 1e-2  # 3.0 reads the last state
+    report = purification_scan(model, MIXED16, laws, horizons, step)
+    for law, entry in zip(laws, report["entries"]):
+        traj = integrate(model, MIXED16, law, max(horizons), step)
+        running = np.maximum.accumulate(traj.purity_b)
+        for t_h, got in zip(horizons, entry["per_horizon"]):
+            k = min(round(t_h / step), len(traj) - 1)
+            assert got["max_purity_b"] == running[k]
+            assert got["margin"] == 1.0 - running[k]
 
 
 def test_sampled_maps_match_stage_wise_loop(rng):

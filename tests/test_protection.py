@@ -472,6 +472,24 @@ def test_axis1_branch_escape_rate():
     assert report0["min_escape_rate"] == pytest.approx(0.0, abs=1e-12)
 
 
+NON_PAULI_CONTROLS = (pauli(1) + 0.3 * pauli(3), 0.7 * pauli(2) - 0.2 * pauli(1), 1.4 * pauli(3))
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        Coupling("resonant", 0.9).lambda_matrix(),
+        Coupling("sigma3-sigma1", 0.9).lambda_matrix() + 0.2,
+    ],
+    ids=["resonant", "sigma31-plus-offset"],
+)
+def test_axis1_escape_report_requires_sigma31_coupling(lam):
+    # unchecked, the resonant model read a plausible min_escape_rate, 1.1000009625
+    model = TwoQubitModel(0.3, 1.1, lam, (SIGMA_MINUS,), NON_PAULI_CONTROLS)
+    with pytest.raises(ValueError, match="sigma3-sigma1"):
+        axis1_escape_report(model)
+
+
 def axis1_escape_reference(model, seed):
     """The default escape report as one generator and one state at a time."""
     vas, _ = random_factorized_states(np.random.default_rng(seed), 20)
@@ -495,9 +513,9 @@ def axis1_escape_reference(model, seed):
         TwoQubitModel(
             0.3,
             -0.8,
-            Coupling("sigma3-sigma1", 0.9).lambda_matrix() + 0.2,
+            Coupling("sigma3-sigma1", 0.9).lambda_matrix(),
             (SIGMA_MINUS,),
-            (pauli(1) + 0.3 * pauli(3), 0.7 * pauli(2) - 0.2 * pauli(1), 1.4 * pauli(3)),
+            NON_PAULI_CONTROLS,
         ),
     ],
     ids=["sigma31", "omega_b=0", "non-pauli-controls"],
