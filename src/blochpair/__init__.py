@@ -29,7 +29,6 @@ from .dynamics import (
     write_trajectory_json,
 )
 from .generator import (
-    GeneratorBlocks,
     assemble_blocks,
     assemble_generator,
     control_generators,
@@ -47,6 +46,7 @@ from .protection import (
     compatibility,
     dispersive_invariant_report,
     dispersive_zero_pattern,
+    drift_batch,
     make_model,
     protected_run,
     protecting_control,
@@ -58,14 +58,58 @@ from .protection import (
 from .quantum import (
     SIGMA_MINUS,
     SIGMA_PLUS,
-    gksl_rhs,
-    is_density_matrix,
-    partial_trace_a,
-    partial_trace_b,
     pauli,
-    purity,
     tensor,
     validate_density_matrix,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The one list of public names, in the order of the README's "Public API" list.
+__all__ = [
+    "BoundaryStateError",
+    "ControlLaw",
+    "Coupling",
+    "IncompatibleDissipationError",
+    "PhysicalityError",
+    "SIGMA_MINUS",
+    "SIGMA_PLUS",
+    "Trajectory",
+    "TwoQubitModel",
+    "assemble_blocks",
+    "assemble_generator",
+    "axis1_escape_report",
+    "closed_form_drift",
+    "compatibility",
+    "control_generators",
+    "dispersive_invariant_report",
+    "dispersive_zero_pattern",
+    "dissipator_blocks",
+    "drift_batch",
+    "embed_factorized",
+    "factorization_residual",
+    "from_coherence",
+    "generator",
+    "integrate",
+    "is_density_image",
+    "lambda_basis",
+    "load_model",
+    "make_model",
+    "numeric_generator",
+    "pauli",
+    "physicality_defect",
+    "protected_run",
+    "protecting_control",
+    "protecting_law",
+    "purification_scan",
+    "purity_rate_b",
+    "random_control_laws",
+    "reduced_b_generator",
+    "resonant_obstruction_report",
+    "save_model",
+    "t_matrices",
+    "tensor",
+    "to_coherence",
+    "transcription_report",
+    "validate_density_matrix",
+    "write_trajectory_csv",
+    "write_trajectory_json",
+]

@@ -30,34 +30,11 @@ from .quantum import (
     validate_density_matrix,
 )
 
-__all__ = [
-    "IDX_C0",
-    "VA",
-    "VAB",
-    "VB",
-    "ab_slot",
-    "lambda_basis",
-    "to_coherence",
-    "from_coherence",
-    "reduced_purity",
-    "factorization_residual",
-    "embed_factorized",
-    "physicality_defect",
-    "is_density_image",
-]
-
 # Index layout of the flat 16-vector.
 IDX_C0 = 0
 VA = slice(1, 4)
 VAB = slice(4, 13)
 VB = slice(13, 16)
-
-
-def ab_slot(i: int, j: int) -> int:
-    """Flat 0-based index into ``vAB`` of the sigma_i x sigma_j slot."""
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError("correlation-slot subscripts must be in {1, 2, 3}")
-    return 3 * (i - 1) + (j - 1)
 
 
 def _build_lambda_basis() -> np.ndarray:

@@ -34,20 +34,6 @@ from .coherence import _as_flat, _square_norm, reduced_purity
 from .generator import control_generators
 from .model import TwoQubitModel
 
-__all__ = [
-    "ControlLaw",
-    "Trajectory",
-    "PhysicalityError",
-    "BoundaryStateError",
-    "integrate",
-    "purity_rate_b",
-    "purification_scan",
-    "random_control_laws",
-    "write_trajectory_csv",
-    "write_trajectory_json",
-    "atomic_write_text",
-]
-
 #: worst constraint violation tolerated before a run is aborted
 ABORT_TOL = 1e-6
 #: violation level recorded as a warning in the trajectory report
@@ -400,6 +386,9 @@ def purification_scan(
     unreachability.
     """
     horizons = [float(h) for h in np.atleast_1d(horizons)]
+    for t_h in horizons:
+        if not 0.0 < t_h < np.inf:  # NaN fails too
+            raise ValueError(f"horizon must be finite and > 0, got {t_h}")
     t_max = max(horizons)
     require_interior(v0)
     entries = []

@@ -35,17 +35,6 @@ from .coherence import VA, VAB, VB, lambda_basis
 from .model import TwoQubitModel
 from .quantum import lindblad_apply, pauli
 
-__all__ = [
-    "t_matrices",
-    "dissipator_blocks",
-    "GeneratorBlocks",
-    "assemble_blocks",
-    "assemble_generator",
-    "generator",
-    "numeric_generator",
-    "control_generators",
-]
-
 _T = np.array(
     [
         [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],

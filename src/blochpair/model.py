@@ -18,13 +18,6 @@ import numpy as np
 
 from .quantum import IDENTITY_2, hermiticity_defect, pauli, tensor
 
-__all__ = [
-    "TwoQubitModel",
-    "default_control_hams",
-    "load_model",
-    "save_model",
-]
-
 _TRACELESS_TOL = 1e-12
 #: entrywise distance within which control Hamiltonians count as the Pauli set
 _DEFAULT_CONTROLS_TOL = 1e-12

@@ -48,25 +48,6 @@ from .generator import control_generators, dissipator_blocks, generator, t_matri
 from .model import TwoQubitModel
 from .quantum import SIGMA_MINUS
 
-__all__ = [
-    "Coupling",
-    "random_factorized_states",
-    "make_model",
-    "require_coupling",
-    "drift_batch",
-    "closed_form_drift",
-    "transcription_report",
-    "compatibility",
-    "IncompatibleDissipationError",
-    "protecting_control",
-    "protecting_law",
-    "reduced_b_generator",
-    "dispersive_zero_pattern",
-    "dispersive_invariant_report",
-    "resonant_obstruction_report",
-    "axis1_escape_report",
-]
-
 COUPLING_TAGS = ("dispersive", "resonant", "sigma3-sigma1")
 
 #: residual threshold of the amplitude-damping compatibility condition

@@ -1,35 +1,13 @@
 """Exact linear algebra for a qubit pair.
 
+Pauli matrices, density-matrix validation and the GKSL generator.
 Matrices on the composite system are indexed with the first-qubit index
-varying slowest, so ``tensor(a, b)`` equals ``np.kron(a, b)`` and the two
-partial traces below are the unique linear maps with
-``partial_trace_a(tensor(m, n)) == n * trace(m)`` (and symmetrically for
-``partial_trace_b``).
+varying slowest, so ``tensor(a, b)`` equals ``np.kron(a, b)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-__all__ = [
-    "HERMITICITY_TOL",
-    "TRACE_TOL",
-    "EIGENVALUE_FLOOR",
-    "IDENTITY_2",
-    "IDENTITY_4",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
-    "pauli",
-    "tensor",
-    "partial_trace_a",
-    "partial_trace_b",
-    "purity",
-    "hermiticity_defect",
-    "is_density_matrix",
-    "validate_density_matrix",
-    "lindblad_apply",
-    "gksl_rhs",
-]
 
 # Validation tolerances.  The eigenvalue floor is loose on purpose:
 # states coming out of a fixed-step integrator carry tiny negative
@@ -45,7 +23,6 @@ _SIGMA = (
 )
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 
 # Raising/lowering combinations sigma_1 +/- i*sigma_2, without a 1/2
 # prefactor.  Used as amplitude-damping jump operators; any rate scaling
@@ -64,24 +41,6 @@ def pauli(i: int) -> np.ndarray:
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor's index varying slowest."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def partial_trace_a(rho: np.ndarray) -> np.ndarray:
-    """Trace out the first qubit of a 4x4 operator, returning 2x2."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("abad->bd", r)
-
-
-def partial_trace_b(rho: np.ndarray) -> np.ndarray:
-    """Trace out the second qubit of a 4x4 operator, returning 2x2."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("abcb->ac", r)
-
-
-def purity(rho: np.ndarray) -> float:
-    """Return ``Tr(rho @ rho)`` as a real number."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.einsum("ij,ji->", rho, rho).real)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -116,15 +75,6 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def is_density_matrix(rho: np.ndarray) -> bool:
-    """Boolean companion of :func:`validate_density_matrix`."""
-    try:
-        validate_density_matrix(rho)
-    except ValueError:
-        return False
-    return True
-
-
 def lindblad_apply(x: np.ndarray, h: np.ndarray | None, jumps=()) -> np.ndarray:
     """Apply the GKSL generator to an arbitrary square matrix.
 
@@ -145,27 +95,3 @@ def lindblad_apply(x: np.ndarray, h: np.ndarray | None, jumps=()) -> np.ndarray:
         k = ell_dag @ ell
         out += ell @ x @ ell_dag - 0.5 * (k @ x + x @ k)
     return out
-
-
-def gksl_rhs(rho: np.ndarray, h: np.ndarray, jumps=()) -> np.ndarray:
-    """Right-hand side of the GKSL master equation for a state ``rho``.
-
-    Parameters
-    ----------
-    rho : (4, 4) array
-        Density matrix of the composite system.
-    h : (4, 4) array
-        Hamiltonian; must be Hermitian within :data:`HERMITICITY_TOL`.
-    jumps : iterable of (4, 4) arrays
-        Jump operators.  An empty list gives closed (unitary) dynamics.
-
-    Returns
-    -------
-    (4, 4) array
-        Hermitian, traceless time derivative of ``rho``.
-    """
-    h = np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(h)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
-    return lindblad_apply(np.asarray(rho, dtype=complex), h, jumps)

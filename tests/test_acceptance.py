@@ -36,8 +36,9 @@ from blochpair.protection import (
     resonant_obstruction_report,
     transcription_report,
 )
-from blochpair.quantum import SIGMA_MINUS, partial_trace_a, pauli, purity, tensor
+from blochpair.quantum import SIGMA_MINUS, pauli, tensor
 from conftest import random_density_matrix, random_model, random_pure_state
+from oracles import partial_trace_a, purity
 
 MIXED16 = np.concatenate([[0.5], np.zeros(15)])
 

@@ -8,7 +8,6 @@ from blochpair.coherence import (
     VA,
     VAB,
     VB,
-    ab_slot,
     embed_factorized,
     factorization_residual,
     from_coherence,
@@ -18,14 +17,9 @@ from blochpair.coherence import (
     reduced_purity,
     to_coherence,
 )
-from blochpair.quantum import (
-    IDENTITY_4,
-    partial_trace_a,
-    partial_trace_b,
-    purity,
-    tensor,
-)
+from blochpair.quantum import tensor
 from conftest import random_density_matrix, random_pure_state
+from oracles import IDENTITY_4, ab_slot, partial_trace_a, partial_trace_b, purity
 
 MIXED = IDENTITY_4 / 4
 

@@ -375,6 +375,15 @@ def test_purification_scan_rejects_non_finite_start():
         purification_scan(model, start, [ControlLaw.constant([0, 0, 0])], [1.0], 1e-2)
 
 
+@pytest.mark.parametrize("bad", [-0.5, -0.01, 0.0, math.nan, math.inf])
+def test_purification_scan_rejects_bad_horizons(bad):
+    # -0.5 used to be reported with the peak of the whole run, -0.01 to
+    # fail inside numpy on an empty slice
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (SIGMA_MINUS,))
+    with pytest.raises(ValueError, match=f"horizon must be finite and > 0, got {bad}"):
+        purification_scan(model, MIXED16, [ControlLaw.constant([0, 0, 0])], [bad, 2.0], 1e-2)
+
+
 def test_purification_scan_from_near_pure_interior_start(rng):
     # a mixed but almost-pure interior state still cannot reach a pure
     # reduced B state in finite time

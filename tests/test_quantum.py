@@ -6,19 +6,21 @@ from hypothesis.extra.numpy import arrays
 
 from blochpair.quantum import (
     IDENTITY_2,
-    IDENTITY_4,
     SIGMA_MINUS,
-    gksl_rhs,
     hermiticity_defect,
-    is_density_matrix,
-    partial_trace_a,
-    partial_trace_b,
     pauli,
-    purity,
     tensor,
     validate_density_matrix,
 )
 from conftest import random_density_matrix, random_pure_state
+from oracles import (
+    IDENTITY_4,
+    gksl_rhs,
+    is_density_matrix,
+    partial_trace_a,
+    partial_trace_b,
+    purity,
+)
 
 KET00 = np.zeros((4, 4), dtype=complex)
 KET00[0, 0] = 1.0
