@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -65,6 +66,10 @@ class CliConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no option looks like a number: "-1e-3", "-0.5,2" are values
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # keep config failures on exit code 2 with JSON
         raise CliConfigError(message)
 

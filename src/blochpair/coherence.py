@@ -103,7 +103,7 @@ def factorization_residual(v) -> float:
     reduced state of the second qubit is pure.
     """
     flat = _as_flat(v)
-    prod = 2.0 * np.outer(flat[VA], flat[VB]).reshape(9)
+    prod = embed_factorized(flat[VA], flat[VB])[VAB]
     return float(np.linalg.norm(flat[VAB] - prod))
 
 

@@ -422,12 +422,14 @@ def random_control_laws(
     """Seeded piecewise-constant laws with values uniform in the bound box."""
     if n_laws < 0:
         raise ValueError(f"n_laws must be >= 0, got {n_laws}")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    if not (np.isfinite(bound) and bound >= 0):
+        raise ValueError(f"bound must be finite and >= 0, got {bound}")
     laws = []
     for _ in range(n_laws):
         n_seg = int(rng.integers(1, _MAX_SEGMENTS + 1))
-        cuts = np.sort(rng.uniform(0.0, horizon, n_seg - 1))
-        times = np.concatenate([[0.0], cuts])
-        times = np.unique(times)
+        times = np.unique(np.concatenate([[0.0], rng.uniform(0.0, horizon, n_seg - 1)]))
         values = rng.uniform(-bound, bound, (times.shape[0], 3))
         laws.append(ControlLaw.piecewise_constant(times, values, bound=bound))
     return laws

@@ -56,10 +56,8 @@ def t_matrices() -> np.ndarray:
 
 
 def _pauli_coefficients(h: np.ndarray) -> np.ndarray:
-    """Coefficients ``alpha_j = Tr(h sigma_j)`` of a traceless 2x2 matrix."""
+    """Coefficients ``alpha_j = Tr(h sigma_j)`` of a 2x2 matrix; its identity part drops out."""
     h = np.asarray(h, dtype=complex)
-    if abs(np.trace(h)) > 1e-12:
-        raise ValueError("Hamiltonian part must be traceless")
     return np.array([np.trace(h @ pauli(j)).real for j in (1, 2, 3)])
 
 
@@ -78,18 +76,9 @@ def dissipator_blocks(jumps) -> tuple[np.ndarray, np.ndarray]:
     single-qubit Bloch equation reads ``d/dt vA = v0 / 2 + d_hat vA``
     (the 1/2 is the ``c0`` component the drive multiplies).
     """
-    d_hat = np.zeros((3, 3))
-    v0 = np.zeros(3)
-    if not jumps:
-        return d_hat, v0
-    for j in (1, 2, 3):
-        img = lindblad_apply(pauli(j), None, jumps)
-        for i in (1, 2, 3):
-            d_hat[i - 1, j - 1] = 0.5 * np.trace(pauli(i) @ img).real
-    img0 = lindblad_apply(np.eye(2, dtype=complex), None, jumps)
-    for i in (1, 2, 3):
-        v0[i - 1] = 0.5 * np.trace(pauli(i) @ img0).real
-    return d_hat, v0
+    images = [lindblad_apply(x, None, jumps) for x in (pauli(1), pauli(2), pauli(3), np.eye(2))]
+    coef = 0.5 * np.array([_pauli_coefficients(img) for img in images])  # row k: image of x_k
+    return coef[:3].T, coef[3]
 
 
 @dataclass(frozen=True, eq=False)

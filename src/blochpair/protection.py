@@ -27,13 +27,12 @@ sampled controls: a block of ``M(u)`` that is zero in every ``Mc[j]`` is
 the same block of ``M0`` for all ``u``.
 
 The obstruction sweep never builds the states of its ``vA`` x ``vB``
-grid.  For a fixed generator and a fixed ``vA`` the drift is a
-polynomial of degree 2 in ``vB``, so the sweep reads per-``vA``
-coefficients ``(n_vA, 9, 10)`` off the generator columns and multiplies
-them, a chunk of ``vA`` rows at a time, with one table of the ``vB``
-monomials ``1, b1, b2, b3, b_j b_k`` (``j <= k``) of the grid.
-:func:`drift_batch` stays the per-pair evaluator: the sweep's random
-pairs, the transcription oracle and the tests use it.
+grid.  For a fixed generator the drift is a polynomial of degree 2 in
+``vA`` and in ``vB`` separately; the sweep reads its coefficients off
+:func:`drift_batch` at 10 x 10 probe pairs and multiplies the per-``vA``
+coefficients ``(n_vA, 9, 10)``, a chunk of ``vA`` rows at a time, with
+one table of the ``vB`` monomials ``1, b1, b2, b3, b_j b_k`` (``j <= k``)
+of the grid.  :func:`drift_batch` is the one derivation of the drift.
 """
 
 from __future__ import annotations
@@ -142,40 +141,35 @@ def drift_batch(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
     return rates[:, VAB] - 2.0 * coupled.reshape(-1, 9)
 
 
-#: index pairs ``(j, k)``, ``j <= k``, of the quadratic ``vB`` monomials
+#: index pairs ``(j, k)``, ``j <= k``, of the quadratic monomials
 _QUAD_J, _QUAD_K = np.triu_indices(3)
 
 
 def _monomials(vbs: np.ndarray) -> np.ndarray:
-    """(10, n) table ``1, b1, b2, b3, b_j b_k (j <= k)`` of the ``vB`` rows ``vbs``."""
+    """(10, n) table ``1, b1, b2, b3, b_j b_k (j <= k)`` of the rows ``vbs`` (``vB`` or ``vA`` blocks)."""
     return np.vstack([np.ones(len(vbs)), vbs.T, (vbs[:, _QUAD_J] * vbs[:, _QUAD_K]).T])
+
+
+#: probe points ``0, e_i, -e_i, e_i + e_j (i < j)`` of the drift fit; the
+#: inverse of their monomial table has entries 0, +-1/2 and +-1 only
+_PROBES = np.vstack([np.zeros(3), np.eye(3), -np.eye(3), np.eye(3)[[0, 0, 1]] + np.eye(3)[[1, 2, 2]]])
 
 
 def _drift_coefficients(m: np.ndarray, vas: np.ndarray) -> np.ndarray:
     """(n, 9, 10) coefficients of the drift in the :func:`_monomials` of ``vB``.
 
-    For a fixed generator ``m`` and a fixed ``vA`` the rates of the state
-    ``(1/2, vA, 2 vA (x) vB, vB)`` are affine in ``vB``, ``r0 + r1 vB``,
-    with ``r0`` and ``r1`` read off the generator columns.  The drift of
-    :func:`drift_batch`, ``r[VAB] - 2 r[VA] (x) vB - 2 vA (x) r[VB]``, is
-    then a polynomial of degree 2 in ``vB``, and ``coef[n] @ _monomials(vbs)``
-    is its value at ``vas[n]`` and every row of ``vbs``.
+    For any ``m`` the drift of :func:`drift_batch` has degree <= 2 in ``vA``
+    and in ``vB`` separately, so its values at the 10 x 10 probe pairs fix it:
+    the probe inverse on both sides gives its (10, 9, 10) coefficients in the
+    monomials of both, and those of ``vas`` contract the first axis.
+    ``coef[n] @ _monomials(vbs)`` is the drift at ``vas[n]`` and every row of ``vbs``.
     """
-    n = len(vas)
-    r0 = 0.5 * m[:, 0] + vas @ m[:, VA].T  # (n, 16)
-    m_ab = m[:, VAB].reshape(16, 3, 3).transpose(1, 0, 2).reshape(3, 48)  # [i, (row, j)]
-    r1 = 2.0 * (vas @ m_ab).reshape(n, 16, 3) + m[:, VB]  # [n, row, k]: d r[row] / d b_k
-    coef = np.zeros((n, 3, 3, 10))  # [n, A index i, B index j, monomial]
-    coef[..., 0] = r0[:, VAB].reshape(n, 3, 3) - 2.0 * vas[:, :, None] * r0[:, None, VB]
-    coef[..., 1:4] = r1[:, VAB].reshape(n, 3, 3, 3) - 2.0 * vas[:, :, None, None] * r1[:, None, VB]
-    rate_a = r1[:, VA]  # [n, i, k]
-    for k in range(3):
-        coef[:, :, k, 1 + k] -= 2.0 * r0[:, VA]
-    for col, (j, k) in enumerate(zip(_QUAD_J, _QUAD_K), start=4):
-        coef[:, :, k, col] -= 2.0 * rate_a[:, :, j]
-        if j != k:
-            coef[:, :, j, col] -= 2.0 * rate_a[:, :, k]
-    return coef.reshape(n, 9, 10)
+    k = len(_PROBES)
+    inverse = np.linalg.inv(_monomials(_PROBES))
+    values = drift_batch(m, np.repeat(_PROBES, k, axis=0), np.tile(_PROBES, (k, 1)))
+    tensor = (inverse.T @ values.reshape(k, 9 * k)).reshape(k, k, 9)  # [vA mono, vB probe, :]
+    tensor = tensor.transpose(0, 2, 1) @ inverse  # [vA mono, :, vB mono]
+    return (_monomials(vas).T @ tensor.reshape(k, 9 * k)).reshape(len(vas), 9, k)
 
 
 def closed_form_drift(coupling: Coupling, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:

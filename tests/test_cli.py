@@ -582,6 +582,39 @@ def test_purification_scan_rejects_negative_bound(damping_model_path, tmp_path, 
     assert not out.exists()
 
 
+def test_negative_coupling_reaches_analyze_w(tmp_path, capsys):
+    # "-1e-3" is not a number to argparse's own pattern, which takes it for an option
+    out = tmp_path / "w.json"
+    code, _, err = run_cli(["analyze-w", "--case", "dispersive", "--g", "-1e-3", "--out", out], capsys)
+    assert code == 0, err
+    assert '"g": -0.001' in out.read_text()
+
+
+def test_negative_horizon_list_reaches_the_check(damping_model_path, tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    code, stdout, err = run_cli(
+        ["purification-scan", "--model", damping_model_path, "--horizons", "-0.5,2", "--out", out],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "horizons must be finite and positive" in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["-1e-3", "-.001"])
+def test_negative_step_reaches_the_check(step, damping_model_path, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        ["simulate", "--model", damping_model_path, "--horizon", "1", "--step", step, "--out", out],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "step must be finite and positive" in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
 def test_cli_entry_point_subprocess(damping_model_path, tmp_path):
     # the module entry point works as a standalone process
     result = subprocess.run(

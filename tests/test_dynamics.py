@@ -317,6 +317,23 @@ def test_purification_scan_basics(rng):
         assert all(m > 0 for m in margins)
 
 
+@pytest.mark.parametrize(
+    "bound, horizon, name",
+    [
+        (1.0, float("nan"), "horizon"),
+        (1.0, float("inf"), "horizon"),
+        (1.0, -1.0, "horizon"),
+        (1.0, 0.0, "horizon"),
+        (float("nan"), 2.0, "bound"),
+        (float("inf"), 2.0, "bound"),
+        (-0.5, 2.0, "bound"),
+    ],
+)
+def test_random_control_laws_rejects_bad_inputs(bound, horizon, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        random_control_laws(np.random.default_rng(0), 2, bound, horizon)
+
+
 def test_purification_scan_reports_dropped_segments():
     model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
     law = ControlLaw.piecewise_constant([0.0, 0.5, 0.5002], [[0, 0, 0], [1, 0, 0], [0, 0, 0]])

@@ -229,6 +229,18 @@ def test_model_json_custom_controls_round_trip(tmp_path):
     )
 
 
+def test_generator_accepts_controls_traceless_within_model_tolerance():
+    # traces of 1e-13 pass the model's check; at u1 = 50 the Hamiltonian's
+    # trace is 5e-12, which the closed-form route must shed like the identity
+    custom = tuple(pauli(i) + np.diag([1e-13, 0.0]) for i in (1, 2, 3))
+    model = TwoQubitModel(0.4, -0.2, np.eye(3) * 0.3, (SIGMA_MINUS,), custom)
+    u = np.array([50.0, 0.0, 0.0])
+    m = generator(model, u)
+    m0, mc = control_generators(model)
+    np.testing.assert_allclose(m, m0 + 50.0 * mc[0], atol=1e-12)
+    np.testing.assert_allclose(m, numeric_generator(model, u), atol=1e-12)
+
+
 def test_lambda_column_projection_definition(rng):
     # column j of the numeric generator is the basis projection of the
     # generator applied to basis element j

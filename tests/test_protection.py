@@ -360,12 +360,28 @@ def test_drift_coefficients_match_drift_batch_on_product_grids(tag, rng):
     # rounding of O(1) drift entries stays far below 1e-14
     model = make_model(Coupling(tag, 0.8), 0.7, 1.3, (SIGMA_MINUS, 0.3 * pauli(3)))
     m = generator(model, np.array([0.4, -0.9, 1.2]))
+    inputs = []
     for n_va, n_vb in [(1, 1), (7, 50), (40, 13)]:
         vas, _ = random_factorized_states(rng, n_va)
         _, vbs = random_factorized_states(rng, n_vb)
+        inputs.append((vas, vbs))
+    # the drift is a polynomial, so the fit holds off the constraint set too:
+    # |vA| in [0.6, 1], outside the ball, and vB anywhere in a cube around it
+    vas = rng.normal(size=(11, 3))
+    vas *= rng.uniform(0.6, 1.0, (11, 1)) / np.linalg.norm(vas, axis=1, keepdims=True)
+    inputs.append((vas, rng.uniform(-0.6, 0.6, (17, 3))))
+    for vas, vbs in inputs:
+        n_va, n_vb = len(vas), len(vbs)
         w = _drift_coefficients(m, vas) @ _monomials(vbs)  # (n_va, 9, n_vb)
         direct = drift_batch(m, np.repeat(vas, n_vb, axis=0), np.tile(vbs, (n_va, 1)))
         assert np.max(np.abs(w.transpose(0, 2, 1).reshape(-1, 9) - direct)) <= 1e-14
+
+
+def test_probe_inverse_is_exact():
+    # entries 0, +-1/2 and +-1: the fit scales drift values by exact factors
+    inverse = np.linalg.inv(_monomials(protection._PROBES))
+    np.testing.assert_array_equal(2.0 * inverse, np.round(2.0 * inverse))
+    np.testing.assert_array_equal(inverse @ _monomials(protection._PROBES), np.eye(10))
 
 
 def obstruction_sweep_reference(g, grid_step, n_random, seed):
