@@ -14,6 +14,8 @@ purification-scan
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-invariant
 failure.  Errors are reported as one-line JSON documents on stderr.
+A missing, unreadable or malformed model or control file and an output
+path in a missing directory are configuration errors naming the path.
 The environment variable ``BLOCHPAIR_OUT`` sets the default output
 directory.
 """
@@ -59,10 +61,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 ORACLE_RESIDUAL_LIMIT = 1e-10
-
-
-class CliConfigError(Exception):
-    pass
+#: what reading a malformed JSON model or control document can raise
+_MALFORMED = (LookupError, OverflowError, TypeError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,8 +70,8 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
-    def error(self, message):  # keep config failures on exit code 2 with JSON
-        raise CliConfigError(message)
+    def error(self, message):  # keep usage failures on exit code 2 with JSON
+        raise ValueError(message)
 
 
 def _emit_error(code: int, message: str, detail: dict | None = None) -> int:
@@ -90,20 +90,18 @@ def _default_out(name: str) -> str:
 def _parse_triple(text: str, flag: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
-        raise CliConfigError(f"{flag} expects three comma-separated numbers, got {text!r}")
+        raise ValueError(f"{flag} expects three comma-separated numbers, got {text!r}")
     try:
         return np.array([float(p) for p in parts])
     except ValueError as exc:
-        raise CliConfigError(f"could not parse {flag}={text!r}: {exc}") from exc
+        raise ValueError(f"could not parse {flag}={text!r}: {exc}") from exc
 
 
 def _load_model_arg(path: str) -> TwoQubitModel:
-    if not os.path.exists(path):
-        raise CliConfigError(f"model file not found: {path}")
     try:
         return load_model(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CliConfigError(f"invalid model file {path}: {exc}") from exc
+    except _MALFORMED as exc:
+        raise ValueError(f"invalid model file {path}: {exc}") from exc
 
 
 def _initial_state(spec: str) -> np.ndarray:
@@ -113,13 +111,11 @@ def _initial_state(spec: str) -> np.ndarray:
         try:
             va_text, vb_text = spec[len("product:") :].split(":")
         except ValueError as exc:
-            raise CliConfigError(
-                "--v0 product form is product:ax,ay,az:bx,by,bz"
-            ) from exc
+            raise ValueError("--v0 product form is product:ax,ay,az:bx,by,bz") from exc
         va = _parse_triple(va_text, "--v0")
         vb = _parse_triple(vb_text, "--v0")
         return embed_factorized(va, vb)
-    raise CliConfigError(f"unknown --v0 specification {spec!r}")
+    raise ValueError(f"unknown --v0 specification {spec!r}")
 
 
 def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | None]:
@@ -129,17 +125,13 @@ def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | Non
         return ControlLaw.constant(_parse_triple(spec[len("constant:") :], "--control")), None
     if spec.startswith("piecewise:") or spec.startswith("sampled:"):
         kind, path = spec.split(":", 1)
-        if not os.path.exists(path):
-            raise CliConfigError(f"control file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        ctor = ControlLaw.piecewise_constant if kind == "piecewise" else ControlLaw.sampled
         try:
-            ctor = (
-                ControlLaw.piecewise_constant if kind == "piecewise" else ControlLaw.sampled
-            )
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
             return ctor(doc["times"], doc["values"], bound=doc.get("bound")), None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliConfigError(f"invalid control file {path}: {exc}") from exc
+        except _MALFORMED as exc:
+            raise ValueError(f"invalid control file {path}: {exc}") from exc
     if spec == "feedback:protect-sigma31":
         require_coupling(model, Coupling("sigma3-sigma1", model.lam[2, 0]))
         for target in (0.5, -0.5):
@@ -147,11 +139,11 @@ def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | Non
             if ok:
                 start = embed_factorized([0.0, 0.0, target], [0.0, 0.0, 0.5])
                 return protecting_law(model, target), start
-        raise CliConfigError(
+        raise ValueError(
             "protect-sigma31 requires dissipation compatible with vA3 = +1/2 or -1/2 "
             "(v0_3/2 + vA3*d33 = 0)"
         )
-    raise CliConfigError(f"unknown --control specification {spec!r}")
+    raise ValueError(f"unknown --control specification {spec!r}")
 
 
 def _cmd_simulate(args) -> int:
@@ -229,7 +221,7 @@ def _cmd_purification_scan(args) -> int:
     model = _load_model_arg(args.model)
     horizons = [float(h) for h in args.horizons.split(",")]
     if not all(np.isfinite(h) and h > 0 for h in horizons):
-        raise CliConfigError(f"horizons must be finite and positive, got {args.horizons}")
+        raise ValueError(f"horizons must be finite and positive, got {args.horizons}")
     rng = np.random.default_rng(args.seed)
     laws = [ControlLaw.constant([0.0, 0.0, 0.0], bound=args.bound)]
     laws += random_control_laws(rng, args.laws, args.bound, max(horizons))
@@ -289,13 +281,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result meets a NaN-safe gate, not a warning
+            return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a numerical failure
         return _emit_error(EXIT_NUMERICAL, str(exc))
-    except (CliConfigError, ValueError) as exc:  # includes BoundaryStateError, IncompatibleDissipationError
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         return _emit_error(EXIT_CONFIG, str(exc))
     except PhysicalityError as exc:
-        return _emit_error(EXIT_NUMERICAL, str(exc), {"t": exc.t, "defect": exc.defect})
+        defect = exc.defect if np.isfinite(exc.defect) else None  # NaN is not JSON
+        return _emit_error(EXIT_NUMERICAL, str(exc), {"t": exc.t, "defect": defect})
     except AssertionError as exc:  # a structural certificate failed, e.g. on a NaN model
         return _emit_error(EXIT_NUMERICAL, str(exc))
 

@@ -27,7 +27,7 @@ identically zero (trace preservation), so ``c0`` stays at ``1/2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,6 +170,7 @@ def control_generators(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray]:
     Returns the drift-plus-dissipation generator ``M0`` and a (3, 16, 16)
     stack of control generators, each independent of drift and noise.
     """
-    m0 = generator(model, np.zeros(3))
-    mc = np.array([generator(model, e) for e in _I3]) - m0
-    return m0, mc
+    blocks = assemble_blocks(model, np.zeros(3))  # only h_a depends on u
+    m0 = assemble_generator(blocks)
+    h_as = (_rotation_generator(model.hamiltonian_a(e)) for e in _I3)
+    return m0, np.array([assemble_generator(replace(blocks, h_a=h)) for h in h_as]) - m0

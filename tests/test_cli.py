@@ -220,13 +220,39 @@ def test_simulate_deterministic_output(damping_model_path, tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-def test_simulate_missing_model_is_config_error(tmp_path, capsys):
+_MODEL_DOC = {"omega_a": 1.0, "omega_b": 1.0, "lambda": [[0.4, 0, 0], [0, 0.4, 0], [0, 0, 0]], "jumps": []}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "directory",
+        [1, 2],
+        {**_MODEL_DOC, "omega_a": None},
+        {**_MODEL_DOC, "omega_a": 10**400},  # an integer no float holds
+        {**_MODEL_DOC, "jumps": 5},
+        {**_MODEL_DOC, "jumps": [[[1, 0]]]},
+        {**_MODEL_DOC, "jumps": [[[[1]]]]},
+    ],
+    ids=["missing", "directory", "list", "null-omega", "huge-int", "int-jumps", "flat-jump", "short-entry"],
+)
+def test_simulate_missing_model_is_config_error(content, tmp_path, capsys):
+    # a model file that is missing, unreadable or malformed: exit 2 with one
+    # JSON line naming the file, never a traceback
+    path = tmp_path / "nope.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(json.dumps(content))
     code, _, err = run_cli(
-        ["simulate", "--model", tmp_path / "nope.json", "--out", tmp_path / "t.csv"],
+        ["simulate", "--model", path, "--out", tmp_path / "t.csv"],
         capsys,
     )
     assert code == 2
     assert json.loads(err)["error"]["code"] == 2
+    assert err.count("\n") == 1
+    assert str(path) in json.loads(err)["error"]["message"]
 
 
 def test_simulate_unphysical_state_is_numerical_error(damping_model_path, tmp_path, capsys):
@@ -287,10 +313,22 @@ def test_simulate_non_finite_control_file_is_config_error(damping_model_path, tm
     assert json.loads(err)["error"]["code"] == 2
 
 
-def test_simulate_mistyped_control_file_is_config_error(damping_model_path, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"times": [0.0, 0.5], "values": [[0, 0, 0], [0.9, 0, 0]], "bound": "1"}),
+        "not json",
+        json.dumps({"times": [0, 10**400], "values": [[0, 0, 0], [0.9, 0, 0]]}),
+        None,  # a directory
+    ],
+    ids=["string-bound", "not-json", "huge-int", "directory"],
+)
+def test_simulate_mistyped_control_file_is_config_error(text, damping_model_path, tmp_path, capsys):
     control = tmp_path / "typed_control.json"
-    doc = {"times": [0.0, 0.5], "values": [[0, 0, 0], [0.9, 0, 0]], "bound": "1"}
-    control.write_text(json.dumps(doc))
+    if text is None:
+        control.mkdir()
+    else:
+        control.write_text(text)
     code, stdout, err = run_cli(
         [
             "simulate",
@@ -308,6 +346,109 @@ def test_simulate_mistyped_control_file_is_config_error(damping_model_path, tmp_
     assert code == 2
     assert stdout == ""
     assert json.loads(err)["error"]["code"] == 2
+    assert err.count("\n") == 1
+    assert str(control) in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["out", "env"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--horizon", "0.1", "--step", "1e-2"],
+        ["analyze-w", "--case", "dispersive", "--samples", "5"],
+        ["purification-scan", "--laws", "1", "--horizons", "0.1", "--step", "1e-2"],
+    ],
+    ids=["simulate", "analyze-w", "purification-scan"],
+)
+def test_output_in_missing_directory_is_config_error(
+    args, via_env, damping_model_path, tmp_path, capsys, monkeypatch
+):
+    missing = tmp_path / "missing_dir"
+    if via_env:
+        monkeypatch.setenv("BLOCHPAIR_OUT", str(missing))
+    else:
+        args = args + ["--out", missing / "out.txt"]
+    if args[0] != "analyze-w":
+        args = args + ["--model", damping_model_path]
+    code, stdout, err = run_cli(args, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert str(missing) in json.loads(err)["error"]["message"]
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--v0", "product:1,2:3"], "--v0 expects three comma-separated numbers, got '1,2'"),
+        (["--v0", "product:a,0,0:0,0,0"], "could not parse --v0='a,0,0': "),
+        (["--v0", "product:0,0,0"], "--v0 product form is product:ax,ay,az:bx,by,bz"),
+        (["--v0", "bogus"], "unknown --v0 specification 'bogus'"),
+        (["--control", "bogus"], "unknown --control specification 'bogus'"),
+    ],
+    ids=["triple-count", "triple-parse", "product-one-block", "v0-unknown", "control-unknown"],
+)
+def test_malformed_specification_is_config_error(args, message, damping_model_path, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        ["simulate", "--model", damping_model_path, "--horizon", "0.1", "--out", out] + args, capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"]["message"].startswith(message)
+    assert not out.exists()
+
+
+def test_simulate_protecting_control_needs_compatible_dissipation(tmp_path, capsys):
+    # sigma_1 damping moves vA3 off both poles: neither +1/2 nor -1/2 is protectable
+    path = tmp_path / "sigma1_noise.json"
+    save_model(make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1, (0.5 * pauli(1),)), path)
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        ["simulate", "--model", path, "--control", "feedback:protect-sigma31", "--out", out], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "protect-sigma31 requires dissipation compatible" in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
+def test_overflowing_model_reports_one_strict_json_line(damping_model_path, tmp_path):
+    # the NaN state meets the physicality gate: no numpy warning on stderr,
+    # and the non-finite defect is written as null, not as the non-JSON NaN
+    doc = json.loads(damping_model_path.read_text())
+    doc["omega_a"] = 1e300
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "blochpair", "simulate", "--model", str(path), "--horizon", "0.01",
+         "--out", str(tmp_path / "t.csv")],
+        capture_output=True,
+        text=True,
+    )
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    assert result.returncode == 3
+    assert result.stderr.count("\n") == 1
+    assert json.loads(result.stderr, parse_constant=reject)["error"]["detail"]["defect"] is None
+
+
+def test_failed_structural_certificate_is_numerical_error(tmp_path, capsys):
+    doc = make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1, (SIGMA_MINUS,)).to_dict()
+    doc["omega_b"] = 1e308
+    path = tmp_path / "huge_b.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "w.json"
+    code, stdout, err = run_cli(
+        ["analyze-w", "--case", "sigma3-sigma1", "--model", path, "--out", out], capsys
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "control generators reach the vB rows" in json.loads(err)["error"]["message"]
+    assert not out.exists()
 
 
 def test_analyze_w_dispersive(tmp_path, capsys):
