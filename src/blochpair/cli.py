@@ -23,6 +23,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -46,8 +47,8 @@ from .model import TwoQubitModel, load_model
 from .protection import (
     COUPLING_TAGS,
     Coupling,
+    IncompatibleDissipationError,
     axis1_escape_report,
-    compatibility,
     make_model,
     protecting_law,
     require_coupling,
@@ -118,27 +119,28 @@ def _initial_state(spec: str) -> np.ndarray:
     raise ValueError(f"unknown --v0 specification {spec!r}")
 
 
-def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | None]:
-    """Returns the law and, for the protecting law, a suggested start state."""
+def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray]:
+    """Returns the law and its start state: the protected pole for the protecting law, else mixed."""
     spec = args.control
+    mixed = _initial_state("mixed")
     if spec.startswith("constant:"):
-        return ControlLaw.constant(_parse_triple(spec[len("constant:") :], "--control")), None
+        return ControlLaw.constant(_parse_triple(spec[len("constant:") :], "--control")), mixed
     if spec.startswith("piecewise:") or spec.startswith("sampled:"):
         kind, path = spec.split(":", 1)
         ctor = ControlLaw.piecewise_constant if kind == "piecewise" else ControlLaw.sampled
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            return ctor(doc["times"], doc["values"], bound=doc.get("bound")), None
+            return ctor(doc["times"], doc["values"], bound=doc.get("bound")), mixed
         except _MALFORMED as exc:
             raise ValueError(f"invalid control file {path}: {exc}") from exc
     if spec == "feedback:protect-sigma31":
         require_coupling(model, Coupling("sigma3-sigma1", model.lam[2, 0]))
         for target in (0.5, -0.5):
-            ok, _ = compatibility(model, target)
-            if ok:
-                start = embed_factorized([0.0, 0.0, target], [0.0, 0.0, 0.5])
-                return protecting_law(model, target), start
+            try:  # protecting_law decides whether the dissipation can hold this pole
+                return protecting_law(model, target), embed_factorized([0.0, 0.0, target], [0.0, 0.0, 0.5])
+            except IncompatibleDissipationError:
+                continue
         raise ValueError(
             "protect-sigma31 requires dissipation compatible with vA3 = +1/2 or -1/2 "
             "(v0_3/2 + vA3*d33 = 0)"
@@ -148,13 +150,9 @@ def _build_law(args, model: TwoQubitModel) -> tuple[ControlLaw, np.ndarray | Non
 
 def _cmd_simulate(args) -> int:
     model = _load_model_arg(args.model)
-    law, suggested_start = _build_law(args, model)
+    law, v0 = _build_law(args, model)
     if args.v0 is not None:
         v0 = _initial_state(args.v0)
-    elif suggested_start is not None:
-        v0 = suggested_start
-    else:
-        v0 = _initial_state("mixed")
     traj = integrate(model, v0, law, args.horizon, args.step)
     traj.metadata["seed"] = args.seed
     out = args.out or _default_out(f"trajectory.{args.format}")
@@ -180,9 +178,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze_w(args) -> int:
     coupling = Coupling(args.case, args.g)
     model = None
-    if args.model:  # the file supplies frequencies and dissipation; --case and --g the coupling
-        source = _load_model_arg(args.model)
-        model = make_model(coupling, source.omega_a, source.omega_b, source.jumps)
+    if args.model:  # the file supplies the model; --case and --g replace its coupling
+        model = dataclasses.replace(_load_model_arg(args.model), lam=coupling.lambda_matrix())
     report: dict = {
         "version": __version__,
         "case": args.case,
@@ -256,7 +253,7 @@ def _build_parser() -> _Parser:
     ana = sub.add_parser("analyze-w", help="drift transcription oracle and obstruction sweep")
     ana.add_argument("--case", required=True, choices=COUPLING_TAGS)
     ana.add_argument("--g", type=float, default=1.0)
-    ana.add_argument("--model", default=None, help="optional model JSON supplying frequencies and dissipation")
+    ana.add_argument("--model", default=None, help="optional model JSON; --case and --g replace its coupling")
     ana.add_argument("--samples", type=int, default=500)
     ana.add_argument("--grid-step", type=float, default=0.05)
     ana.add_argument("--random-samples", type=int, default=10_000)

@@ -454,7 +454,10 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
     via a temporary sibling and an atomic rename; nothing is left if it fails."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:  # name the requested file, not the random temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines((text,) if isinstance(text, str) else text)

@@ -154,9 +154,9 @@ class TwoQubitModel:
                 _complex_matrix_from_json(h) for h in doc["controls"]
             )
         return cls(
-            omega_a=float(doc["omega_a"]),
-            omega_b=float(doc["omega_b"]),
-            lam=np.asarray(doc["lambda"], dtype=float),
+            omega_a=doc["omega_a"],
+            omega_b=doc["omega_b"],
+            lam=doc["lambda"],
             jumps=tuple(_complex_matrix_from_json(j) for j in doc.get("jumps", [])),
             **kwargs,
         )

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from blochpair.model import TwoQubitModel
+from blochpair.quantum import pauli
+
+NON_PAULI_CONTROLS = (pauli(1) + 0.3 * pauli(3), 0.7 * pauli(2) - 0.2 * pauli(1), 1.4 * pauli(3))
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:

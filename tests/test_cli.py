@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from blochpair.cli import main
-from blochpair.model import save_model
-from blochpair.protection import Coupling, make_model
+from blochpair.coherence import embed_factorized
+from blochpair.model import TwoQubitModel, load_model, save_model
+from blochpair.protection import Coupling, make_model, resonant_obstruction_report, transcription_report
 from blochpair.quantum import SIGMA_MINUS, pauli
+from conftest import NON_PAULI_CONTROLS
 
 
 @pytest.fixture
@@ -134,6 +137,39 @@ def test_simulate_protecting_control(protectable_model_path, tmp_path, capsys):
     # the law is the constant feedback (u1, u2) = (0.3, 0.4)
     assert cols["u1"][0] == pytest.approx(0.3, abs=1e-12)
     assert cols["u2"][0] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_simulate_protecting_control_from_given_start(protectable_model_path, tmp_path, capsys):
+    # --v0 replaces the protected start state; the law stays the protecting control
+    out = tmp_path / "protected.csv"
+    args = ["simulate", "--model", protectable_model_path, "--horizon", "0.1", "--step", "1e-2",
+            "--control", "feedback:protect-sigma31", "--v0", "product:0.1,0,0.2:0,0.3,0.1", "--out", out]
+    assert run_cli(args, capsys)[0] == 0
+    cols = read_csv(out)
+    names = ["c0", "vA1", "vA2", "vA3"] + [f"vAB{k}" for k in range(1, 10)] + ["vB1", "vB2", "vB3"]
+    first = np.array([cols[name][0] for name in names])
+    np.testing.assert_array_equal(first, embed_factorized([0.1, 0.0, 0.2], [0.0, 0.3, 0.1]))
+    np.testing.assert_allclose(cols["u1"], 0.3, atol=1e-12)
+    np.testing.assert_allclose(cols["u2"], 0.4, atol=1e-12)
+    np.testing.assert_array_equal(cols["u3"], 0.0)
+
+
+@pytest.mark.parametrize(
+    "ell", [SIGMA_MINUS, 0.5 * pauli(1)], ids=["compatible-noise", "incompatible-noise"]
+)
+def test_simulate_protecting_control_needs_pauli_controls(ell, tmp_path, capsys):
+    # the library refuses non-Pauli controls whether or not a pole is compatible
+    path = tmp_path / "non_pauli.json"
+    lam = Coupling("sigma3-sigma1", 0.9).lambda_matrix()
+    save_model(TwoQubitModel(0.7, 1.1, lam, (ell,), NON_PAULI_CONTROLS), path)
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        ["simulate", "--model", path, "--control", "feedback:protect-sigma31", "--out", out], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "assumes the default Pauli controls" in json.loads(err)["error"]["message"]
+    assert not out.exists()
 
 
 def test_simulate_protecting_control_needs_sigma31_coupling(damping_model_path, tmp_path, capsys):
@@ -364,6 +400,9 @@ def test_output_in_missing_directory_is_config_error(
     args, via_env, damping_model_path, tmp_path, capsys, monkeypatch
 ):
     missing = tmp_path / "missing_dir"
+    default_names = {"simulate": "trajectory.csv", "analyze-w": "w_report.json",
+                     "purification-scan": "purification_scan.json"}
+    requested = missing / (default_names[args[0]] if via_env else "out.txt")
     if via_env:
         monkeypatch.setenv("BLOCHPAIR_OUT", str(missing))
     else:
@@ -376,6 +415,9 @@ def test_output_in_missing_directory_is_config_error(
     assert err.count("\n") == 1
     assert str(missing) in json.loads(err)["error"]["message"]
     assert not missing.exists()
+    # the message names the file that was asked for, not a random temporary sibling
+    assert str(requested) in json.loads(err)["error"]["message"]
+    assert ".tmp-" not in err
 
 
 @pytest.mark.parametrize(
@@ -555,6 +597,26 @@ def test_analyze_w_model_file_supplies_noise_not_coupling(tmp_path, capsys):
     assert reports["file"]["n_drift_zero_points"] == 26
     assert reports["file"]["min_va_norm_at_zero"] == 0.5
     assert reports["file"]["min_drift_off_sphere"] == pytest.approx(0.0195, abs=1e-4)
+
+
+@pytest.mark.parametrize("case", ["dispersive", "resonant"])
+def test_analyze_w_model_file_keeps_its_controls(case, tmp_path, capsys):
+    # only the coupling is replaced: the file's own control Hamiltonians are analysed
+    path = tmp_path / "non_pauli.json"
+    lam = Coupling("sigma3-sigma1", 1.0).lambda_matrix()
+    save_model(TwoQubitModel(0.9, 1.1, lam, (SIGMA_MINUS,), NON_PAULI_CONTROLS), path)
+    out = tmp_path / "w.json"
+    args = ["analyze-w", "--case", case, "--g", "0.7", "--samples", "20", "--grid-step", "0.25",
+            "--random-samples", "200", "--seed", "3", "--model", path, "--out", out]
+    assert run_cli(args, capsys)[0] == 0
+    written = json.loads(out.read_text())
+    model = dataclasses.replace(load_model(path), lam=Coupling(case, 0.7).lambda_matrix())
+    assert not model.has_default_controls()
+    expected = transcription_report(Coupling(case, 0.7), n_samples=20, seed=3, model=model)
+    assert written["transcription"] == json.loads(json.dumps(expected))
+    if case == "resonant":
+        sweep = resonant_obstruction_report(0.7, grid_step=0.25, n_random=200, seed=3, model=model)
+        assert written["obstruction"] == json.loads(json.dumps(sweep))
 
 
 def test_analyze_w_sigma31_with_resonant_model_file(damping_model_path, tmp_path, capsys):

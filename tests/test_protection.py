@@ -27,7 +27,7 @@ from blochpair.protection import (
     transcription_report,
 )
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
-from conftest import random_model
+from conftest import NON_PAULI_CONTROLS, random_model
 
 ZERO_U = np.zeros(3)
 PAULIS = np.array([pauli(1), pauli(2), pauli(3)])
@@ -486,9 +486,6 @@ def test_axis1_branch_escape_rate():
     frozen = compatible_sigma31_model(omega_b=0.0)
     report0 = axis1_escape_report(frozen, seed=2)
     assert report0["min_escape_rate"] == pytest.approx(0.0, abs=1e-12)
-
-
-NON_PAULI_CONTROLS = (pauli(1) + 0.3 * pauli(3), 0.7 * pauli(2) - 0.2 * pauli(1), 1.4 * pauli(3))
 
 
 @pytest.mark.parametrize(
