@@ -217,8 +217,6 @@ def _cmd_analyze_w(args) -> int:
 def _cmd_purification_scan(args) -> int:
     model = _load_model_arg(args.model)
     horizons = [float(h) for h in args.horizons.split(",")]
-    if not all(np.isfinite(h) and h > 0 for h in horizons):
-        raise ValueError(f"horizons must be finite and positive, got {args.horizons}")
     rng = np.random.default_rng(args.seed)
     laws = [ControlLaw.constant([0.0, 0.0, 0.0], bound=args.bound)]
     laws += random_control_laws(rng, args.laws, args.bound, max(horizons))
@@ -282,7 +280,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a numerical failure
         return _emit_error(EXIT_NUMERICAL, str(exc))
-    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
+    except (ValueError, OSError, MemoryError) as exc:  # bad input, an unreadable or unwritable file, an oversized array
         return _emit_error(EXIT_CONFIG, str(exc))
     except PhysicalityError as exc:
         defect = exc.defect if np.isfinite(exc.defect) else None  # NaN is not JSON

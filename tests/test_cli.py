@@ -231,26 +231,21 @@ def test_simulate_json_format(damping_model_path, tmp_path, capsys):
     assert doc["metadata"]["step"] == 1e-2
 
 
-def test_simulate_deterministic_output(damping_model_path, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--horizon", "1", "--step", "1e-3", "--seed", "7"],
+        ["simulate", "--horizon", "1", "--step", "1e-3", "--seed", "7", "--format", "json"],
+        ["purification-scan", "--laws", "2", "--horizons", "1,2"],
+    ],
+    ids=["simulate-csv", "simulate-json", "purification-scan"],
+)
+def test_simulate_deterministic_output(args, damping_model_path, tmp_path, capsys):
+    # 1,000 and 2,000 steps: several full 256-step blocks, each from one matrix product, and a tail
     blobs = []
-    for name in ("one.csv", "two.csv"):
+    for name in ("one", "two"):
         out = tmp_path / name
-        code, _, _ = run_cli(
-            [
-                "simulate",
-                "--model",
-                damping_model_path,
-                "--horizon",
-                "1",
-                "--step",
-                "1e-2",
-                "--seed",
-                "7",
-                "--out",
-                out,
-            ],
-            capsys,
-        )
+        code, _, _ = run_cli(args + ["--model", damping_model_path, "--out", out], capsys)
         assert code == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
@@ -410,6 +405,7 @@ def test_output_in_missing_directory_is_config_error(
     if args[0] != "analyze-w":
         args = args + ["--model", damping_model_path]
     code, stdout, err = run_cli(args, capsys)
+    assert run_cli(args, capsys) == (code, stdout, err)  # the same message on every run
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1
@@ -754,8 +750,8 @@ def test_lapack_failure_is_numerical_error(damping_model_path, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("horizons", ["10,inf", "nan"])
-def test_purification_scan_rejects_non_finite_horizons(horizons, damping_model_path, tmp_path, capsys):
+@pytest.mark.parametrize("horizons, bad", [("10,inf", "inf"), ("nan", "nan")], ids=["10,inf", "nan"])
+def test_purification_scan_rejects_non_finite_horizons(horizons, bad, damping_model_path, tmp_path, capsys):
     code, stdout, err = run_cli(
         [
             "purification-scan",
@@ -770,7 +766,7 @@ def test_purification_scan_rejects_non_finite_horizons(horizons, damping_model_p
     )
     assert code == 2
     assert stdout == ""
-    assert "horizons" in json.loads(err)["error"]["message"]
+    assert f"horizon must be finite and > 0, got {bad}" in json.loads(err)["error"]["message"]
 
 
 def test_purification_scan_rejects_negative_bound(damping_model_path, tmp_path, capsys):
@@ -793,15 +789,44 @@ def test_negative_coupling_reaches_analyze_w(tmp_path, capsys):
     assert '"g": -0.001' in out.read_text()
 
 
-def test_negative_horizon_list_reaches_the_check(damping_model_path, tmp_path, capsys):
+@pytest.mark.parametrize("horizons", [["--horizons", "-0.5,2"], ["--horizons=-0.5,2"]], ids=["space", "equals"])
+def test_negative_horizon_list_reaches_the_check(horizons, damping_model_path, tmp_path, capsys):
     out = tmp_path / "scan.json"
     code, stdout, err = run_cli(
-        ["purification-scan", "--model", damping_model_path, "--horizons", "-0.5,2", "--out", out],
+        ["purification-scan", "--model", damping_model_path, *horizons, "--out", out],
         capsys,
     )
     assert code == 2
     assert stdout == ""
-    assert "horizons must be finite and positive" in json.loads(err)["error"]["message"]
+    assert "horizon must be finite and > 0, got -0.5" in json.loads(err)["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (["simulate", "--horizon", "1", "--step", "1e-2"], "integrate"),
+        (["analyze-w", "--case", "resonant", "--samples", "5"], "resonant_obstruction_report"),
+        (["purification-scan", "--laws", "1", "--horizons", "1", "--step", "1e-2"], "purification_scan"),
+    ],
+    ids=["simulate", "analyze-w", "purification-scan"],
+)
+def test_oversized_request_is_config_error(args, target, damping_model_path, tmp_path, capsys, monkeypatch):
+    # an array too large to allocate is the request's fault: exit 2 and one JSON line, no traceback
+    message = "Unable to allocate 146. TiB for an array with shape (20000000000000, 16) and data type float64"
+
+    def oversized(*_args, **_kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"blochpair.cli.{target}", oversized)
+    if args[0] != "analyze-w":
+        args = args + ["--model", damping_model_path]
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli(args + ["--out", out], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == {"code": 2, "message": message}
     assert not out.exists()
 
 
