@@ -87,8 +87,8 @@ def from_coherence(v) -> np.ndarray:
     return np.einsum("i,ikl->kl", flat, _LAMBDA)
 
 
-def _square_norm(x) -> np.ndarray:
-    return np.einsum("...i,...i->...", x, x)
+def _square_norm(x, out=None) -> np.ndarray:
+    return np.einsum("...i,...i->...", x, x, out=out)
 
 
 def reduced_purity(block) -> np.ndarray:
@@ -130,10 +130,14 @@ def physicality_defect(states) -> np.ndarray:
     ``|vB|^2 - 1/4``.  Values at or below zero mean all bounds hold.
     """
     arr = np.asarray(states, dtype=float)
-    full = _square_norm(arr) - 1.0
-    norm_a = _square_norm(arr[..., VA]) - 0.25
-    norm_b = _square_norm(arr[..., VB]) - 0.25
-    return np.maximum(np.maximum(full, norm_a), norm_b)
+    worst, part = np.empty(arr.shape[:-1]), np.empty(arr.shape[:-1])  # the only stack-sized arrays
+    _square_norm(arr, out=worst)
+    worst -= 1.0
+    for block in (VA, VB):
+        _square_norm(arr[..., block], out=part)
+        part -= 0.25
+        np.maximum(worst, part, out=worst)
+    return worst[()]  # a scalar for one state
 
 
 def is_density_image(v) -> bool:

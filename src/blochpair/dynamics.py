@@ -3,18 +3,20 @@
 Fixed-step classical Runge-Kutta of order 4.  Under an open-loop law
 each step is one 16x16 map ``R`` built from the generators at ``t``,
 ``t + h/2`` and ``t + h``.  A piecewise-constant segment builds its map
-once, with the powers ``R^1 ... R^B`` by repeated doubling, chains the
-block starts (each ``R^B`` times the one before) and fills all its full
-blocks of ``B`` states with one matrix product, keeping the chained
-starts as block ends; a sampled law builds the maps of ``B`` steps at a
-time as one stack.  State-feedback laws keep stage evaluation, as the
-law must see each stage state.  All three form
-``M(u) = M0 + sum_j u_j Mc_j`` with one matmul on the control split.
+once and fills its states by a 16-ary power tree: ``R^1 ... R^16`` by
+repeated doubling, then one matrix product of the block starts by these
+powers for all its 16-step blocks; the block starts are the orbit of
+``R^16``, filled by the same recursion and kept as the block ends.  A
+sampled law builds the maps of ``B`` steps at a time as one stack.
+State-feedback laws keep stage evaluation, as the law must see each
+stage state.  All three form ``M(u) = M0 + sum_j u_j Mc_j`` with one
+matmul on the control split.
 
 Trajectories record every step.  The ``c0`` component has identically
 zero derivative (first generator row is zero), so it stays at exactly
 ``1/2`` without enforcement.  The CSV export formats ``B`` rows per
 ``%`` operation and streams them; its bytes equal per-field ``.17g``.
+The JSON export streams one column at a time.
 """
 
 from __future__ import annotations
@@ -207,6 +209,23 @@ def _segment_bounds(law: ControlLaw, n_steps: int, step: float) -> list[tuple[in
     return [(int(a), int(b), u) for a, b, u in zip(idx, stops, law.values) if b > a]
 
 
+def _orbit(r: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Fill the contiguous ``out`` with ``out[k] = r^(k+1) v``: one GEMM by ``r^1 ... r^16``
+    fills the 16-step blocks, whose ends hold the orbit of ``r^16``, found the same way."""
+    powers = r[None]
+    while len(powers) < min(16, len(out)):  # r^1 ... r^16 by doubling
+        powers = np.concatenate([powers, powers[-1] @ powers])
+    rows = powers.reshape(-1, 16)
+    n_full, tail = divmod(len(out), 16)
+    starts = np.empty((n_full + 1, 16))  # block starts: starts[j] = r^(16 j) v
+    starts[0] = v
+    if n_full:
+        _orbit(powers[-1], v, starts[1:])
+        np.matmul(starts[:-1], rows.T, out=out[: 16 * n_full].reshape(n_full, 256))
+        out[15 : 16 * n_full : 16] = starts[1:]  # block ends hold the recursive chain
+    out[16 * n_full :] = (rows[: 16 * tail] @ starts[-1]).reshape(tail, 16)
+
+
 def integrate(
     model: TwoQubitModel,
     v0,
@@ -240,11 +259,21 @@ def integrate(
         by more than :data:`ABORT_TOL`, or is not finite.  The worst
         defect, and whether it stays within :data:`WARN_TOL`, is reported
         in ``metadata["physicality"]``.
+    MemoryError
+        If the recorded run would not fit in physical memory; it is
+        raised before anything is allocated.
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (np.isfinite(horizon) and horizon >= step):
         raise ValueError(f"horizon must be finite and at least one step, got {horizon}")
+    need = (horizon / step + 1) * 20 * 8  # bytes of states, controls and times: 20 float64 a step
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if not need <= memory:
+        raise MemoryError(
+            f"horizon {horizon:g} at step {step:g} needs {need / 2**30:.3g} GiB for its states, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
     n_steps = int(round(horizon / step))
     times = np.arange(n_steps + 1) * step
 
@@ -272,19 +301,7 @@ def integrate(
             law_info["dropped_segments"] = len(law.times) - len(segments)
         for seg_start, seg_stop, u in segments:
             m = generator_at(u)
-            powers = _rk4_map(m, m, m, step)[None]
-            while len(powers) < min(_BLOCK, seg_stop - seg_start):  # r^1 ... r^B by doubling
-                powers = np.concatenate([powers, powers[-1] @ powers])
-            rows, n = powers.reshape(-1, 16), len(powers)
-            n_full, tail = divmod(seg_stop - seg_start, n)
-            anchors = [states[seg_start]]  # block starts: each is r^B times the one before
-            for _ in range(n_full):
-                anchors.append(powers[-1] @ anchors[-1])
-            anchors, k = np.array(anchors), seg_stop - tail
-            full = states[seg_start + 1 : k + 1]  # every full block from one GEMM
-            np.matmul(anchors[:-1], rows.T, out=full.reshape(n_full, 16 * n))
-            full[n - 1 :: n] = anchors[1:]  # block ends hold the propagated anchors
-            states[k + 1 : seg_stop + 1] = (rows[: 16 * tail] @ anchors[-1]).reshape(tail, 16)
+            _orbit(_rk4_map(m, m, m, step), states[seg_start], states[seg_start + 1 : seg_stop + 1])
             controls[seg_start:seg_stop] = u
         controls[n_steps] = controls[n_steps - 1]
     elif law.kind == "sampled":
@@ -478,11 +495,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def write_trajectory_json(traj: Trajectory, path) -> None:
-    """JSON export mirroring the CSV columns, plus run metadata."""
+    """JSON export mirroring the CSV columns, plus run metadata, streamed one column at a time.
+
+    The bytes equal ``json.dumps({"columns": {...}, "metadata": ...}) + "\\n"``.
+    """
     table = _trajectory_table(traj)
-    names = _CSV_HEADER.split(",")
-    doc = {
-        "columns": {name: table[:, i].tolist() for i, name in enumerate(names)},
-        "metadata": traj.metadata,
-    }
-    atomic_write_text(path, json.dumps(doc) + "\n")
+    columns = (
+        (", " if i else "") + f"{json.dumps(name)}: {json.dumps(table[:, i].tolist())}"
+        for i, name in enumerate(_CSV_HEADER.split(","))
+    )
+    tail = '}, "metadata": ' + json.dumps(traj.metadata) + "}\n"
+    atomic_write_text(path, itertools.chain(['{"columns": {'], columns, [tail]))

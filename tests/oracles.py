@@ -3,8 +3,9 @@
 They work on 4x4 matrices, with the first-qubit index varying slowest
 as in ``blochpair.quantum.tensor``, so the two partial traces are the
 unique linear maps with ``partial_trace_a(tensor(m, n)) == n * trace(m)``
-(and symmetrically for ``partial_trace_b``).  Nothing in the package
-calls them.
+(and symmetrically for ``partial_trace_b``).  ``physicality_defect``
+is the one oracle on coherence vectors: the gate's formula written out
+as three stack-sized terms.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ def gksl_rhs(rho: np.ndarray, h: np.ndarray, jumps=()) -> np.ndarray:
     if defect > HERMITICITY_TOL:
         raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
     return lindblad_apply(np.asarray(rho, dtype=complex), h, jumps)
+
+
+def physicality_defect(states) -> np.ndarray:
+    """The gate's three terms written out: ``max(|v|^2 - 1, |vA|^2 - 1/4, |vB|^2 - 1/4)`` per state."""
+    arr = np.asarray(states, dtype=float)
+    full = np.einsum("...i,...i->...", arr, arr) - 1.0
+    norm_a = np.einsum("...i,...i->...", arr[..., 1:4], arr[..., 1:4]) - 0.25
+    norm_b = np.einsum("...i,...i->...", arr[..., 13:16], arr[..., 13:16]) - 0.25
+    return np.maximum(np.maximum(full, norm_a), norm_b)
 
 
 def ab_slot(i: int, j: int) -> int:

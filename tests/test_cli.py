@@ -241,7 +241,7 @@ def test_simulate_json_format(damping_model_path, tmp_path, capsys):
     ids=["simulate-csv", "simulate-json", "purification-scan"],
 )
 def test_simulate_deterministic_output(args, damping_model_path, tmp_path, capsys):
-    # 1,000 and 2,000 steps: several full 256-step blocks, each from one matrix product, and a tail
+    # 1,000 and 2,000 steps: full blocks at two levels of the power tree (16 and 256 steps), and tails
     blobs = []
     for name in ("one", "two"):
         out = tmp_path / name
@@ -827,6 +827,19 @@ def test_oversized_request_is_config_error(args, target, damping_model_path, tmp
     assert stdout == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == {"code": 2, "message": message}
+    assert not out.exists()
+
+
+def test_simulate_oversized_step_is_refused_by_name(damping_model_path, tmp_path, capsys):
+    # the real request, no stub: integrate refuses it from the step count before allocating
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        ["simulate", "--model", damping_model_path, "--step", "1e-12", "--out", out], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["message"].startswith("horizon 20 at step 1e-12 needs ")
     assert not out.exists()
 
 

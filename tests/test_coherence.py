@@ -19,6 +19,7 @@ from blochpair.coherence import (
 )
 from blochpair.quantum import tensor
 from conftest import random_density_matrix, random_pure_state
+import oracles
 from oracles import IDENTITY_4, ab_slot, partial_trace_a, partial_trace_b, purity
 
 MIXED = IDENTITY_4 / 4
@@ -177,6 +178,21 @@ def test_physicality_defect_one_value_per_stacked_state(rng):
         defects = physicality_defect(np.tile(v, (n, 1)))
         assert defects.shape == (n,)
         np.testing.assert_array_equal(defects, physicality_defect(v))
+
+
+@pytest.mark.parametrize("shape", [(16,), (9, 16), (3, 5, 16)])
+def test_physicality_defect_matches_three_term_formula(rng, shape):
+    # the in-place gate gives the written-out formula's bits, NaN included
+    states = rng.uniform(-0.6, 0.6, shape)
+    if len(shape) > 1:
+        states[..., 0, 2] = np.nan
+    states.flags.writeable = False
+    before = states.copy()
+    defects = physicality_defect(states)
+    np.testing.assert_array_equal(defects, oracles.physicality_defect(states))
+    np.testing.assert_array_equal(states, before)
+    if len(shape) == 1:
+        assert type(defects) is np.float64
 
 
 def test_bloch_vector_array_round_trip(rng):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,35 @@ def test_csv_stream_matches_per_field_reference(tmp_path, rng):
     assert b",-0,4.9406564584124654e-324,1e+17,0.10000000000000001," in path.read_bytes()
 
 
+def test_json_export_streams_columns(tmp_path, rng):
+    # 20,001 rows: the export never holds the document, so its traced
+    # peak stays below the file's size; the bytes are one json.dumps
+    n = 20_001
+    states = rng.uniform(-1, 1, (n, 16))
+    states[:3, 1:4] = [-0.0, 5e-324, 1e17]
+    traj = Trajectory(
+        times=np.arange(n) * 1e-3,
+        states=states,
+        controls=rng.uniform(-1, 1, (n, 3)),
+        metadata={"step": 1e-3, "law": {"kind": "sampled", "segments": 3}, "note": "é"},
+    )
+    path = tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        write_trajectory_json(traj, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+    table = np.column_stack(
+        [traj.times, traj.controls, states, traj.purity_full, traj.purity_a, traj.purity_b]
+    )
+    header = dynamics._CSV_HEADER.split(",")
+    doc = {"columns": {name: table[:, i].tolist() for i, name in enumerate(header)}, "metadata": traj.metadata}
+    assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+
+
 def test_atomic_write_failing_chunks_leave_nothing(tmp_path):
     def chunks():
         yield "first chunk\n"
@@ -440,6 +470,12 @@ def test_non_finite_states_abort(law):
     assert not info.value.defect <= ABORT_TOL
 
 
+def test_oversized_run_is_refused_before_allocating():
+    # 1e15 steps: refused from the step count, naming both settings, not by numpy's allocator
+    with pytest.raises(MemoryError, match=r"horizon 1e\+06 at step 1e-09 needs [0-9.e+]+ GiB"):
+        integrate(closed_model(), MIXED16, ControlLaw.constant([0, 0, 0]), 1e6, 1e-9)
+
+
 def test_non_finite_start_aborts():
     start = MIXED16.copy()
     start[5] = np.nan
@@ -521,8 +557,17 @@ def _stepped(model, v0, breaks, values, n_steps, step):
         ([0], 3 * _BLOCK),
         ([0], 3 * _BLOCK + 7),
         ([0, 100, _BLOCK + 300], 3 * _BLOCK + 50),  # breakpoints inside blocks
+        # around the 16-ary tree's levels: 16, 256 and 4096 steps
+        ([0], 15),
+        ([0], 16),
+        ([0], 17),
+        ([0], 4095),
+        ([0], 4096),
+        ([0], 4097),
+        ([0, 4097, 2 * 4097], 2 * 4096 + 300),
     ],
-    ids=["1", "B-1", "B", "B+1", "3B", "3B+7", "3-segments"],
+    ids=["1", "B-1", "B", "B+1", "3B", "3B+7", "3-segments", "15", "16", "17",
+         "4095", "4096", "4097", "3-segments-long"],
 )
 def test_piecewise_gemm_matches_per_step_loop(rng, breaks, n_steps):
     step = 1e-3
@@ -535,22 +580,21 @@ def test_piecewise_gemm_matches_per_step_loop(rng, breaks, n_steps):
     np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-14)
 
 
-def test_piecewise_block_ends_are_the_anchor_chain(rng):
-    # each recorded block end is r^B times the block start, computed as
-    # integrate computes it: r^B by doubling, then one mat-vec per block
-    step, n_steps = 1e-3, 5 * _BLOCK + 40
+def test_piecewise_block_ends_are_the_orbit_of_r16(rng):
+    # every 16th state is exactly the orbit of r^16 that the same tree
+    # computes: r^16 by doubling, then the orbit on a 1/16-size buffer
+    step, n_steps = 1e-3, 5 * 4096 + 40
     model = random_model(rng)
     u = rng.uniform(-1, 1, 3)
     traj = integrate(model, to_coherence(random_density_matrix(rng)), ControlLaw.constant(u), n_steps * step, step)
     m0, mc = control_generators(model)
     m = m0 + (u @ mc.reshape(3, -1)).reshape(16, 16)
     powers = _rk4_map(m, m, m, step)[None]
-    while len(powers) < _BLOCK:
+    while len(powers) < 16:
         powers = np.concatenate([powers, powers[-1] @ powers])
-    anchor = traj.states[0]
-    for k in range(_BLOCK, n_steps + 1, _BLOCK):
-        anchor = powers[-1] @ anchor
-        np.testing.assert_array_equal(traj.states[k], anchor)
+    ends = np.empty((n_steps // 16, 16))
+    dynamics._orbit(powers[-1], traj.states[0], ends)
+    np.testing.assert_array_equal(traj.states[16::16], ends)
 
 
 def test_purification_scan_peaks_are_running_maxima(rng):
