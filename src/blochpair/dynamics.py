@@ -446,7 +446,8 @@ def random_control_laws(
     laws = []
     for _ in range(n_laws):
         n_seg = int(rng.integers(1, _MAX_SEGMENTS + 1))
-        times = np.unique(np.concatenate([[0.0], rng.uniform(0.0, horizon, n_seg - 1)]))
+        times = np.sort(np.concatenate([[0.0], rng.uniform(0.0, horizon, n_seg - 1)]))
+        times = times[np.concatenate([[True], np.diff(times) > 0])]  # np.unique imports numpy.ma
         values = rng.uniform(-bound, bound, (times.shape[0], 3))
         laws.append(ControlLaw.piecewise_constant(times, values, bound=bound))
     return laws

@@ -33,7 +33,7 @@ import numpy as np
 
 from .coherence import VA, VAB, VB, lambda_basis
 from .model import TwoQubitModel
-from .quantum import lindblad_apply, pauli
+from .quantum import lindblad_apply, pauli, tensor
 
 _T = np.array(
     [
@@ -116,8 +116,8 @@ def assemble_blocks(model: TwoQubitModel, u) -> GeneratorBlocks:
     h_it = np.zeros((3, 9))
     h_ib = np.zeros((3, 9))
     for j in (1, 2, 3):
-        h_it += np.kron(_T[j - 1], lam[j - 1, :].reshape(1, 3))
-        h_ib += np.kron(lam[:, j - 1].reshape(1, 3), _T[j - 1])
+        h_it += tensor(_T[j - 1], lam[j - 1, :].reshape(1, 3))
+        h_ib += tensor(lam[:, j - 1].reshape(1, 3), _T[j - 1])
     d_hat, v0 = dissipator_blocks(model.jumps)
     return GeneratorBlocks(h_a=h_a, h_b=h_b, h_it=h_it, h_ib=h_ib, d_hat=d_hat, v0=v0)
 
@@ -130,11 +130,11 @@ def assemble_generator(blocks: GeneratorBlocks) -> np.ndarray:
     m[VA, VAB] = blocks.h_it
     m[VAB, VA] = -blocks.h_it.T
     m[VAB, VAB] = (
-        np.kron(blocks.h_a, _I3)
-        + np.kron(_I3, blocks.h_b)
-        + np.kron(blocks.d_hat, _I3)
+        tensor(blocks.h_a, _I3)
+        + tensor(_I3, blocks.h_b)
+        + tensor(blocks.d_hat, _I3)
     )
-    m[VAB, VB] = -blocks.h_ib.T + np.kron(blocks.v0.reshape(3, 1), _I3)
+    m[VAB, VB] = -blocks.h_ib.T + tensor(blocks.v0.reshape(3, 1), _I3)
     m[VB, VAB] = blocks.h_ib
     m[VB, VB] = blocks.h_b
     return m

@@ -32,7 +32,9 @@ grid.  For a fixed generator the drift is a polynomial of degree 2 in
 :func:`drift_batch` at 10 x 10 probe pairs and multiplies the per-``vA``
 coefficients ``(n_vA, 9, 10)``, a chunk of ``vA`` rows at a time, with
 one table of the ``vB`` monomials ``1, b1, b2, b3, b_j b_k`` (``j <= k``)
-of the grid.  :func:`drift_batch` is the one derivation of the drift.
+of the grid.  A chunk keeps only each row's smallest squared drift norm;
+the few rows that reach the zero bound are multiplied out again for
+their zeros.  :func:`drift_batch` is the one derivation of the drift.
 """
 
 from __future__ import annotations
@@ -55,9 +57,26 @@ COMPATIBILITY_TOL = 1e-10
 _TRANSCRIPTION_U = (0.4, -0.3, 0.6)
 #: drift norm at or below which the obstruction sweep counts a zero
 _DRIFT_TOL = 1e-9
+
+
+def _largest_square_within(tol: float) -> float:
+    """Largest double ``sq`` with ``sqrt(sq) <= tol``."""
+    sq = tol * tol
+    while np.sqrt(sq) > tol:
+        sq = np.nextafter(sq, 0.0)
+    while np.sqrt(np.nextafter(sq, np.inf)) <= tol:
+        sq = np.nextafter(sq, np.inf)
+    return float(sq)
+
+
+#: squared drift norm at or below which the sweep counts a zero: ``sqrt`` is
+#: correctly rounded and monotone, so ``sq <= _DRIFT_TOL_SQ`` exactly when
+#: ``sqrt(sq) <= _DRIFT_TOL``, and the sweep never takes a root to test a node
+_DRIFT_TOL_SQ = _largest_square_within(_DRIFT_TOL)
 #: grid pairs per chunk of the obstruction sweep (whole vB-grid rows); chunks
 #: this small keep each temporary near 0.3 MB, so the allocator reuses its
-#: memory instead of mapping and faulting in fresh pages on every chunk
+#: memory instead of mapping and faulting in fresh pages on every chunk; a
+#: chunk keeps only each row's smallest squared norm
 _SWEEP_CHUNK = 4096
 #: random ``vA`` blocks at which the axis-1 escape rate is evaluated
 _AXIS1_STATES = 20
@@ -422,11 +441,32 @@ def _affine_solution_set(d_hat: np.ndarray, v0: np.ndarray) -> dict:
     }
 
 
-def _drift_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row ``r`` of the drifts ``w[r, :, c]``: zero count, first zero, smallest norm."""
-    wnorm = np.sqrt(np.einsum("rkc,rkc->rc", w, w))
-    zero = wnorm <= _DRIFT_TOL
-    return np.count_nonzero(zero, axis=1), np.argmax(zero, axis=1), np.min(wnorm, axis=1)
+def _drift_rows(coef: np.ndarray, mono: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row ``r`` of the drifts ``coef[r] @ mono``: zero count, first zero, smallest norm.
+
+    A chunk of rows at a time, only each row's smallest squared norm is
+    kept.  The rows whose minimum reaches :data:`_DRIFT_TOL_SQ`, or is NaN
+    and so may hide a zero, are evaluated again for their zeros.
+    """
+
+    def squares(rows):
+        w = coef[rows] @ mono
+        return np.einsum("rkc,rkc->rc", w, w)
+
+    rows_per_chunk = max(1, _SWEEP_CHUNK // mono.shape[1])
+    least = np.empty(len(coef))
+    for start in range(0, len(coef), rows_per_chunk):
+        chunk = slice(start, start + rows_per_chunk)
+        np.min(squares(chunk), axis=1, out=least[chunk])
+    n_zero = np.zeros(len(coef), dtype=np.intp)
+    first_zero = np.zeros(len(coef), dtype=np.intp)
+    hit = np.flatnonzero(~(least > _DRIFT_TOL_SQ))
+    for start in range(0, len(hit), rows_per_chunk):
+        rows = hit[start : start + rows_per_chunk]
+        zero = squares(rows) <= _DRIFT_TOL_SQ
+        n_zero[rows] = np.count_nonzero(zero, axis=1)
+        first_zero[rows] = np.argmax(zero, axis=1)
+    return n_zero, first_zero, np.sqrt(least)
 
 
 def resonant_obstruction_report(
@@ -448,6 +488,10 @@ def resonant_obstruction_report(
     Part (b): solve ``v0 / 2 + d_hat vA = 0`` for the supplied model's
     dissipation and report whether any solution has norm ``1/2`` (the
     only way full purity can survive the noise).
+
+    Each ``vA`` row of the grid, and each random pair as a one-column
+    row, goes through :func:`_drift_rows`: only the rows whose smallest
+    squared drift norm reaches :data:`_DRIFT_TOL_SQ` are searched for zeros.
 
     ``grid_step`` must be finite, positive and small enough that some
     point of the ``vA`` grid lies in the ball.  A given ``model`` must
@@ -485,21 +529,13 @@ def resonant_obstruction_report(
     rng = np.random.default_rng(seed)
     va_rand, vb_rand = random_factorized_states(rng, n_random)
 
-    # random pairs are not a product grid: rows of one pair each, which
-    # come last below; evaluated first, so that their temporaries are
-    # freed before the grid's coefficients exist
-    rand_rows = _drift_rows(drift_batch(m, va_rand, vb_rand)[:, :, None])
-    # grid pairs: per chunk of vA rows, one (rows, 9, n_vB) product of the
-    # per-vA coefficients and the vB monomial table
-    mono = _monomials(vb_grid)
-    coef = _drift_coefficients(m, va_grid)
-    rows_per_chunk = max(1, _SWEEP_CHUNK // len(vb_grid))
-    parts = [
-        _drift_rows(coef[start : start + rows_per_chunk] @ mono)
-        for start in range(0, len(va_grid), rows_per_chunk)
-    ]
-    parts.append(rand_rows)
-    n_zero, first_zero, row_min = (np.concatenate(x) for x in zip(*parts))
+    # random pairs are not a product grid: one-column rows, which come
+    # last below; evaluated first, so that their temporaries are freed
+    # before the grid's coefficients exist
+    rand_rows = _drift_rows(drift_batch(m, va_rand, vb_rand)[:, :, None], np.ones((1, 1)))
+    # grid pairs: per vA row, the product of its coefficients and the vB monomial table
+    grid_rows = _drift_rows(_drift_coefficients(m, va_grid), _monomials(vb_grid))
+    n_zero, first_zero, row_min = (np.concatenate(x) for x in zip(grid_rows, rand_rows))
     vas = np.concatenate([va_grid, va_rand])
     vbs = np.concatenate([vb_grid[first_zero[: len(va_grid)]], vb_rand])
 

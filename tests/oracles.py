@@ -5,13 +5,16 @@ as in ``blochpair.quantum.tensor``, so the two partial traces are the
 unique linear maps with ``partial_trace_a(tensor(m, n)) == n * trace(m)``
 (and symmetrically for ``partial_trace_b``).  ``physicality_defect``
 is the one oracle on coherence vectors: the gate's formula written out
-as three stack-sized terms.  Nothing in the package calls them.
+as three stack-sized terms.  ``drift_rows`` is the obstruction sweep's
+row reduction taken node by node, and ``random_control_laws`` builds
+the scan's laws with ``np.unique``.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from blochpair.dynamics import ControlLaw
 from blochpair.quantum import (
     HERMITICITY_TOL,
     hermiticity_defect,
@@ -81,6 +84,25 @@ def physicality_defect(states) -> np.ndarray:
     norm_a = np.einsum("...i,...i->...", arr[..., 1:4], arr[..., 1:4]) - 0.25
     norm_b = np.einsum("...i,...i->...", arr[..., 13:16], arr[..., 13:16]) - 0.25
     return np.maximum(np.maximum(full, norm_a), norm_b)
+
+
+def drift_rows(w: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row ``r`` of the drifts ``w[r, :, c]``: zero count, first zero and least norm,
+    from the norm of every node and a ``<= tol`` mask."""
+    wnorm = np.sqrt(np.einsum("rkc,rkc->rc", w, w))
+    zero = wnorm <= tol
+    return np.count_nonzero(zero, axis=1), np.argmax(zero, axis=1), np.min(wnorm, axis=1)
+
+
+def random_control_laws(rng: np.random.Generator, n_laws: int, bound: float, horizon: float):
+    """The scan's seeded piecewise-constant laws, breakpoints sorted and deduplicated by ``np.unique``."""
+    laws = []
+    for _ in range(n_laws):
+        n_seg = int(rng.integers(1, 9))  # at most 8 segments
+        times = np.unique(np.concatenate([[0.0], rng.uniform(0.0, horizon, n_seg - 1)]))
+        values = rng.uniform(-bound, bound, (times.shape[0], 3))
+        laws.append(ControlLaw.piecewise_constant(times, values, bound=bound))
+    return laws
 
 
 def ab_slot(i: int, j: int) -> int:

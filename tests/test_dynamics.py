@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,7 @@ from blochpair.model import TwoQubitModel
 from blochpair.protection import Coupling, make_model
 from blochpair.quantum import SIGMA_MINUS
 from conftest import random_density_matrix, random_model
+from oracles import random_control_laws as unique_control_laws
 
 MIXED16 = np.concatenate([[0.5], np.zeros(15)])
 
@@ -362,6 +365,44 @@ def test_purification_scan_basics(rng):
 def test_random_control_laws_rejects_bad_inputs(bound, horizon, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         random_control_laws(np.random.default_rng(0), 2, bound, horizon)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+def test_random_control_laws_match_the_np_unique_construction(seed):
+    laws = random_control_laws(np.random.default_rng(seed), 12, 0.8, 3.0)
+    want = unique_control_laws(np.random.default_rng(seed), 12, 0.8, 3.0)
+    for law, ref in zip(laws, want, strict=True):
+        assert (law.kind, law.bound) == (ref.kind, ref.bound)
+        np.testing.assert_array_equal(law.times, ref.times)
+        np.testing.assert_array_equal(law.values, ref.values)
+
+
+def test_random_control_laws_drop_repeated_breakpoints():
+    class Repeating:  # uniform draws that repeat 0 and 1.5
+        def integers(self, low, high):
+            return 6
+
+        def uniform(self, low, high, size):
+            return np.broadcast_to([1.5, 0.0, 0.5, 1.5, 0.0], size) if size == 5 else np.zeros(size)
+
+    (law,) = random_control_laws(Repeating(), 1, 1.0, 2.0)
+    np.testing.assert_array_equal(law.times, [0.0, 0.5, 1.5])
+
+
+def test_purification_scan_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, 10-13 ms of every fresh interpreter
+    code = (
+        "import sys, numpy as np, blochpair\n"
+        "from blochpair import purification_scan, random_control_laws, make_model, Coupling\n"
+        "model = make_model(Coupling('resonant', 0.4), 1.0, 1.0)\n"
+        "laws = random_control_laws(np.random.default_rng(0), 3, 1.0, 1.0)\n"
+        "v0 = np.zeros(16); v0[0] = 0.5\n"
+        "purification_scan(model, v0, laws, [1.0], 1e-2)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_purification_scan_reports_dropped_segments():

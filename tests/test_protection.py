@@ -28,6 +28,7 @@ from blochpair.protection import (
 )
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
 from conftest import NON_PAULI_CONTROLS, random_model
+from oracles import drift_rows
 
 ZERO_U = np.zeros(3)
 PAULIS = np.array([pauli(1), pauli(2), pauli(3)])
@@ -431,6 +432,86 @@ def test_resonant_obstruction_report_matches_drift_batch_sweep(grid_step, seed):
     assert report["min_va_norm_at_zero"] == min_norm
     assert report["worst_zero_point"] == worst
     assert report["min_drift_off_sphere"] == pytest.approx(min_off, rel=0, abs=1e-15)
+
+
+def test_drift_tol_sq_is_the_largest_square_within_the_tolerance():
+    tol_sq = protection._DRIFT_TOL_SQ
+    assert np.sqrt(tol_sq) <= protection._DRIFT_TOL < np.sqrt(np.nextafter(tol_sq, 1.0))
+
+
+#: single-component nodes from 6 ulps below the tolerance to 6 above it
+_NEAR_TOL = 1e-9 + np.arange(-6, 7) * np.spacing(1e-9)
+
+
+def planted_rows(rng, n_rows, n_cols):
+    """(n_rows, 9, n_cols) random drifts with planted zeros, tolerance nodes and a NaN row."""
+    w = rng.normal(size=(n_rows, 9, n_cols))
+    w[5, :, 3 % n_cols] = 0.0  # one exact zero
+    w[7, :, [n_cols - 1, 0]] = 0.0  # two zeros, the first at column 0
+    if n_cols > 4:
+        w[9, :, [4, 2, n_cols - 1]] = 0.0  # three zeros, the first at column 2
+    w[11] = np.nan
+    for k, x in enumerate(_NEAR_TOL):
+        w[13 + k, :, -1] = 0.0
+        w[13 + k, 0, -1] = x
+    # two-component nodes with squared norm exactly at the bound and one double above it
+    for row, sq in ((30, protection._DRIFT_TOL_SQ), (31, np.nextafter(protection._DRIFT_TOL_SQ, 1.0))):
+        w[row, :, -1] = 0.0
+        w[row, :2, -1] = 1e-9, np.sqrt(sq - 1e-18)
+    w[-1, :, -1] = 0.0  # a zero in the last row of the last chunk
+    w[-2, :, 0] = 1e-12  # the smallest off-zero minimum, in the last chunk
+    return w
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(10_000, 1), (1500, 10), (60, 300)])
+def test_drift_rows_match_the_per_node_reduction(n_rows, n_cols, rng):
+    # three chunks of rows or more; the identity table leaves each drift as
+    # it is, so the nodes are planted exactly
+    assert n_rows > 2 * (protection._SWEEP_CHUNK // n_cols)
+    coef = planted_rows(rng, n_rows, n_cols)
+    mono = np.eye(n_cols)
+    got = protection._drift_rows(coef, mono)
+    want = drift_rows(coef @ mono)
+    for g, x in zip(got, want):
+        np.testing.assert_array_equal(g, x)
+    n_zero, first_zero, row_min = got
+    counted = n_zero[13 : 13 + len(_NEAR_TOL)]
+    assert counted.any() and not counted.all()  # the tolerance nodes fall on both sides
+    bound = np.einsum("rk,rk->r", coef[30:32, :, -1], coef[30:32, :, -1])
+    assert list(bound) == [protection._DRIFT_TOL_SQ, np.nextafter(protection._DRIFT_TOL_SQ, 1.0)]
+    assert list(n_zero[30:32]) == [1, 0]
+    assert n_zero[5] == 1 and n_zero[-1] == 1 and np.isnan(row_min[11])
+    if n_cols > 4:
+        assert (n_zero[7], first_zero[7], n_zero[9], first_zero[9]) == (2, 0, 3, 2)
+
+
+def test_drift_rows_count_zeros_beside_a_nan_node(rng):
+    # a NaN node makes the row minimum NaN; the row's zeros must still count
+    coef = planted_rows(rng, 40, 10)
+    mono = np.eye(10)
+    mono[:, 6] = np.nan
+    got = protection._drift_rows(coef, mono)
+    want = drift_rows(coef @ mono)
+    for g, x in zip(got, want):
+        np.testing.assert_array_equal(g, x)
+    assert np.all(np.isnan(got[2])) and got[0][5] == 1
+
+
+def test_drift_rows_on_sweep_coefficients_match_the_per_node_reduction():
+    # the report's own coefficients and vB table at grid step 0.1, rows on |vA| = 1/2 included
+    model = make_model(Coupling("resonant", 0.7), 0.9, 1.1, (SIGMA_MINUS,))
+    m = generator(model, np.array([0.3, -0.2, 0.1]))
+    axis = np.arange(-0.5, 0.51, 0.1)
+    vas = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1).T
+    vas = vas[np.einsum("ij,ij->i", vas, vas) <= 0.25 + 1e-12]
+    _, vbs = random_factorized_states(np.random.default_rng(3), 700)
+    vbs[:5] = [[0, 0, 0.5], [0, 0, -0.5], [0.5, 0, 0], [0, 0.5, 0], [0.3, 0.4, 0]]
+    coef, mono = _drift_coefficients(m, vas), _monomials(vbs)
+    got = protection._drift_rows(coef, mono)
+    want = drift_rows(coef @ mono)
+    for g, x in zip(got, want):
+        np.testing.assert_array_equal(g, x)
+    assert got[0].sum() > 0
 
 
 @pytest.mark.parametrize("grid_step", [0.0, -0.1, np.nan, np.inf, 1.0])

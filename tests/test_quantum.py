@@ -50,6 +50,25 @@ def test_tensor_identities():
     )
 
 
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((3,), (4,)), ((2, 2), (2, 2)), ((3, 3), (1, 3)), ((1, 3), (3, 3)), ((3, 1), (3, 3)),
+     ((3, 3), (3,)), ((2,), (2, 3)), ((2, 3, 2), (3, 2)), ((), (2, 2))],
+)
+def test_tensor_is_np_kron(shape_a, shape_b, rng):
+    def draw(shape, kind):
+        if kind == "int":
+            return rng.integers(-5, 5, size=shape)
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if kind == "complex" else x
+
+    for kind_a, kind_b in [("real", "real"), ("real", "complex"), ("complex", "complex"), ("int", "real")]:
+        a, b = draw(shape_a, kind_a), draw(shape_b, kind_b)
+        got, want = tensor(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_tensor_trace_multiplicative(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
