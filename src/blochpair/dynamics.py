@@ -9,8 +9,9 @@ powers for all its 16-step blocks; the block starts are the orbit of
 ``R^16``, filled by the same recursion and kept as the block ends.  A
 sampled law builds the maps of ``B`` steps at a time as one stack.
 State-feedback laws keep stage evaluation, as the law must see each
-stage state.  All three form ``M(u) = M0 + sum_j u_j Mc_j`` with one
-matmul on the control split.
+stage state; ``ControlLaw`` checks the bound at every stage call.  All
+three form ``M(u) = M0 + sum_j u_j Mc_j`` with one matmul on the
+control split; the feedback path writes it into one reused 16x16 buffer.
 
 Trajectories record every step.  The ``c0`` component has identically
 zero derivative (first generator row is zero), so it stays at exactly
@@ -149,7 +150,9 @@ class ControlLaw:
             u = [np.interp(t, self.times, self.values[:, i]) for i in range(3)]
             return self._check_bound(np.stack(u, axis=-1))
         u = np.asarray(self.callback(t, v), dtype=float).reshape(3)
-        return self._check_bound(u)
+        x, y, z = u.tolist()  # three float tests cost less than ``abs(u).max()``; a NaN fails them
+        b = np.inf if self.bound is None else self.bound + 1e-12
+        return u if abs(x) <= b and abs(y) <= b and abs(z) <= b else self._check_bound(u)
 
     def describe(self) -> dict:
         info = {"kind": self.kind}
@@ -314,18 +317,23 @@ def integrate(
                 states[k + 1] = r @ states[k]
         controls[n_steps] = law(times[n_steps])
     else:  # state-feedback
+        buf = np.empty(256)  # M(u), assembled in place at every stage
+        m = buf.reshape(16, 16)
 
         def rhs(t, y):
             u = law(t, y)
-            return generator_at(u) @ y, u
+            np.dot(u, mc_rows, out=buf)
+            np.add(m0, m, out=m)
+            return m @ y, u
 
-        for k, t in enumerate(times[:-1]):
+        half, sixth = 0.5 * step, step / 6.0
+        for k, t in enumerate(times[:-1].tolist()):
             v = states[k]
             k1, controls[k] = rhs(t, v)
-            k2, _ = rhs(t + 0.5 * step, v + 0.5 * step * k1)
-            k3, _ = rhs(t + 0.5 * step, v + 0.5 * step * k2)
+            k2, _ = rhs(t + half, v + half * k1)
+            k3, _ = rhs(t + half, v + half * k2)
             k4, _ = rhs(t + step, v + step * k3)
-            states[k + 1] = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[k + 1] = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         controls[n_steps] = law(times[n_steps], states[n_steps])
 
     # argmax returns the first NaN, and ``not <=`` rejects it

@@ -6,8 +6,10 @@ unique linear maps with ``partial_trace_a(tensor(m, n)) == n * trace(m)``
 (and symmetrically for ``partial_trace_b``).  ``physicality_defect``
 is the one oracle on coherence vectors: the gate's formula written out
 as three stack-sized terms.  ``drift_rows`` is the obstruction sweep's
-row reduction taken node by node, and ``random_control_laws`` builds
-the scan's laws with ``np.unique``.  Nothing in the package calls them.
+row reduction taken node by node, ``random_control_laws`` builds
+the scan's laws with ``np.unique``, and ``rk4_feedback_reference`` is
+the state-feedback stage loop with a fresh generator per stage.
+Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from blochpair.dynamics import ControlLaw
+from blochpair.generator import control_generators
 from blochpair.quantum import (
     HERMITICITY_TOL,
     hermiticity_defect,
@@ -103,6 +106,34 @@ def random_control_laws(rng: np.random.Generator, n_laws: int, bound: float, hor
         values = rng.uniform(-bound, bound, (times.shape[0], 3))
         laws.append(ControlLaw.piecewise_constant(times, values, bound=bound))
     return laws
+
+
+def rk4_feedback_reference(model, v0, callback, n_steps: int, step: float):
+    """States and controls of ``n_steps`` RK4 steps under ``u = callback(t, v)``, one
+    ``m0 + (u @ mc_rows).reshape(16, 16)`` per stage; no bound or physicality check."""
+    m0, mc = control_generators(model)
+    mc_rows = mc.reshape(3, -1)
+    times = np.arange(n_steps + 1) * step
+
+    def law(t, y):
+        return np.asarray(callback(t, y), dtype=float).reshape(3)
+
+    def rhs(t, y):
+        u = law(t, y)
+        return (m0 + (u @ mc_rows).reshape(16, 16)) @ y, u
+
+    states = np.empty((n_steps + 1, 16))
+    controls = np.empty((n_steps + 1, 3))
+    states[0] = v0
+    for k, t in enumerate(times[:-1]):
+        v = states[k]
+        k1, controls[k] = rhs(t, v)
+        k2, _ = rhs(t + 0.5 * step, v + 0.5 * step * k1)
+        k3, _ = rhs(t + 0.5 * step, v + 0.5 * step * k2)
+        k4, _ = rhs(t + step, v + step * k3)
+        states[k + 1] = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    controls[n_steps] = law(times[n_steps], states[n_steps])
+    return states, controls
 
 
 def ab_slot(i: int, j: int) -> int:

@@ -30,8 +30,9 @@ from blochpair.generator import control_generators
 from blochpair.model import TwoQubitModel
 from blochpair.protection import Coupling, make_model
 from blochpair.quantum import SIGMA_MINUS
-from conftest import random_density_matrix, random_model
+from conftest import random_density_matrix, random_jump, random_model
 from oracles import random_control_laws as unique_control_laws
+from oracles import rk4_feedback_reference
 
 MIXED16 = np.concatenate([[0.5], np.zeros(15)])
 
@@ -119,6 +120,46 @@ def test_feedback_nan_control_violates_bound():
     law = ControlLaw.feedback(lambda t, v: [math.nan, 0.0, 0.0], bound=1.0)
     with pytest.raises(ValueError, match="control value nan"):
         integrate(closed_model(), MIXED16, law, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [5.0, math.nan], ids=["over", "nan"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_feedback_bound_checked_at_every_stage(bad, axis):
+    # on the grid t = k/4 the law is in bound; only the midpoint stages at t + h/2 break it
+    def callback(t, v):
+        u = np.zeros(3)
+        if t == 0.375:
+            u[axis] = bad
+        return u
+
+    law = ControlLaw.feedback(callback, bound=1.0)
+    with pytest.raises(ValueError, match=f"control value {bad:.6g} exceeds declared bound 1"):
+        integrate(closed_model(), MIXED16, law, 1.0, 0.25)
+
+
+def test_feedback_without_bound_is_not_refused():
+    law = ControlLaw.feedback(lambda t, v: [5.0, 0.0, 0.0], bound=None)
+    traj = integrate(closed_model(), MIXED16, law, 1.0, 1e-2)
+    assert np.all(traj.controls == [5.0, 0.0, 0.0])
+
+
+def test_feedback_matches_stage_loop_reference_bit_for_bit(rng):
+    model = TwoQubitModel(
+        omega_a=rng.uniform(-2, 2), omega_b=rng.uniform(-2, 2), lam=rng.uniform(-2, 2, (3, 3)),
+        jumps=(random_jump(rng), random_jump(rng)),
+    )
+    v0 = to_coherence(random_density_matrix(rng))
+    gain = rng.uniform(-8, 8, (3, 16))
+
+    def saturating(t, v):
+        return np.clip(gain @ v + np.sin(t), -1.0, 1.0)
+
+    traj = integrate(model, v0, ControlLaw.feedback(saturating, bound=1.0), 0.5, 1e-3)
+    states, controls = rk4_feedback_reference(model, v0, saturating, 500, 1e-3)
+    assert len(traj) == 501
+    assert np.any(np.abs(controls) == 1.0) and np.any(np.abs(controls) < 1.0)  # both sides of the clip
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.controls, controls)
 
 
 def test_c0_exactly_constant(rng):
@@ -296,9 +337,9 @@ def test_csv_stream_matches_per_field_reference(tmp_path, rng):
 
 
 def test_json_export_streams_columns(tmp_path, rng):
-    # 20,001 rows: the export never holds the document, so its traced
+    # 2,001 rows: the export never holds the document, so its traced
     # peak stays below the file's size; the bytes are one json.dumps
-    n = 20_001
+    n = 2_001
     states = rng.uniform(-1, 1, (n, 16))
     states[:3, 1:4] = [-0.0, 5e-324, 1e17]
     traj = Trajectory(
