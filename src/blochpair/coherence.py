@@ -93,7 +93,11 @@ def _square_norm(x, out=None) -> np.ndarray:
 
 def reduced_purity(block) -> np.ndarray:
     """One-qubit purity ``Tr(rho^2) = 1/2 + 2|x|^2`` of Bloch blocks ``x`` (last axis)."""
-    return 0.5 + 2.0 * _square_norm(block)
+    return _purity_of(_square_norm(block))
+
+
+def _purity_of(square_norm) -> np.ndarray:
+    return 0.5 + 2.0 * square_norm
 
 
 def factorization_residual(v) -> float:
@@ -122,6 +126,21 @@ def embed_factorized(va, vb) -> np.ndarray:
     return out
 
 
+def _square_norms(states) -> tuple:
+    """``(|v|^2, |vA|^2, |vB|^2)`` of one 16-vector or of each state of a stack."""
+    arr = np.asarray(states, dtype=float)
+    return _square_norm(arr), _square_norm(arr[..., VA]), _square_norm(arr[..., VB])
+
+
+def _norm_defect(full, a, b) -> np.ndarray:
+    """Per state the maximum of ``full - 1``, ``a - 1/4`` and ``b - 1/4``; the norms are not changed."""
+    worst, part = np.empty(np.shape(full)), np.empty(np.shape(full))
+    np.subtract(full, 1.0, out=worst)
+    for block in (a, b):
+        np.maximum(worst, np.subtract(block, 0.25, out=part), out=worst)
+    return worst[()]  # a scalar for one state
+
+
 def physicality_defect(states) -> np.ndarray:
     """Worst violation of the norm constraints, per state.
 
@@ -129,15 +148,7 @@ def physicality_defect(states) -> np.ndarray:
     state the maximum of ``|v|^2 - 1``, ``|vA|^2 - 1/4`` and
     ``|vB|^2 - 1/4``.  Values at or below zero mean all bounds hold.
     """
-    arr = np.asarray(states, dtype=float)
-    worst, part = np.empty(arr.shape[:-1]), np.empty(arr.shape[:-1])  # the only stack-sized arrays
-    _square_norm(arr, out=worst)
-    worst -= 1.0
-    for block in (VA, VB):
-        _square_norm(arr[..., block], out=part)
-        part -= 0.25
-        np.maximum(worst, part, out=worst)
-    return worst[()]  # a scalar for one state
+    return _norm_defect(*_square_norms(states))
 
 
 def is_density_image(v) -> bool:

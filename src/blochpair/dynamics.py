@@ -13,11 +13,13 @@ stage state; ``ControlLaw`` checks the bound at every stage call.  All
 three form ``M(u) = M0 + sum_j u_j Mc_j`` with one matmul on the
 control split; the feedback path writes it into one reused 16x16 buffer.
 
-Trajectories record every step.  The ``c0`` component has identically
-zero derivative (first generator row is zero), so it stays at exactly
-``1/2`` without enforcement.  The CSV export formats ``B`` rows per
-``%`` operation and streams them; its bytes equal per-field ``.17g``.
-The JSON export streams one column at a time.
+Trajectories record every step, read-only, and compute each state's
+``|v|^2``, ``|vA|^2`` and ``|vB|^2`` once; the physicality gate, the
+purities, the scan and the exports read them.  The ``c0`` component
+has identically zero derivative (first generator row is zero), so it
+stays at exactly ``1/2`` without enforcement.  The CSV export formats
+``B`` rows per ``%`` operation and streams them; its bytes equal
+per-field ``.17g``.  The JSON export streams one column at a time.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .coherence import VA, VB, from_coherence, is_density_image, physicality_defect
-from .coherence import _as_flat, _square_norm, reduced_purity
+from .coherence import VB, from_coherence, is_density_image, physicality_defect
+from .coherence import _as_flat, _norm_defect, _purity_of, _square_norm, _square_norms
 from .generator import control_generators
 from .model import TwoQubitModel
 
@@ -165,27 +167,34 @@ class ControlLaw:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time grid, recorded states, control samples and run metadata."""
+    """Time grid, recorded states, control samples and run metadata; ``norms`` holds each
+    state's ``(|v|^2, |vA|^2, |vB|^2)``, read-only, computed once, when the trajectory is built."""
 
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray
     metadata: dict = field(default_factory=dict)
+    norms: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        full, a, b = _square_norms(self.states)
+        full.flags.writeable = a.flags.writeable = b.flags.writeable = False
+        object.__setattr__(self, "norms", (full, a, b))
 
     def __len__(self) -> int:
         return self.times.shape[0]
 
     @property
     def purity_full(self) -> np.ndarray:
-        return _square_norm(self.states)
+        return self.norms[0]
 
     @property
     def purity_a(self) -> np.ndarray:
-        return reduced_purity(self.states[:, VA])
+        return _purity_of(self.norms[1])
 
     @property
     def purity_b(self) -> np.ndarray:
-        return reduced_purity(self.states[:, VB])
+        return _purity_of(self.norms[2])
 
 
 def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float) -> np.ndarray:
@@ -203,6 +212,11 @@ def _split(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray]:
     m0, mc = control_generators(model)
     m0.flags.writeable = mc.flags.writeable = False
     return m0, mc
+
+
+@functools.lru_cache(maxsize=4)  # one hash per model, as ``_split`` is one split per model
+def _model_hash(model: TwoQubitModel) -> str:
+    return model.hash_hex()
 
 
 def _segment_bounds(law: ControlLaw, n_steps: int, step: float) -> list[tuple[int, int, np.ndarray]]:
@@ -250,7 +264,8 @@ def integrate(
         snapped to the nearest integer number of steps.
 
     Every trajectory, the scan's included, comes from here; the affine
-    split of ``model`` is built on its first call and reused.
+    split of ``model`` is built on its first call and reused.  The
+    returned arrays are read-only, so the stored norms cannot go stale.
 
     Raises
     ------
@@ -305,7 +320,8 @@ def integrate(
         for seg_start, seg_stop, u in segments:
             m = generator_at(u)
             _orbit(_rk4_map(m, m, m, step), states[seg_start], states[seg_start + 1 : seg_stop + 1])
-            controls[seg_start:seg_stop] = u
+            for j in range(3):  # a column at a time costs less than broadcasting the row
+                controls[seg_start:seg_stop, j] = u[j]
         controls[n_steps] = controls[n_steps - 1]
     elif law.kind == "sampled":
         for k0 in range(0, n_steps, _BLOCK):
@@ -336,25 +352,25 @@ def integrate(
             states[k + 1] = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         controls[n_steps] = law(times[n_steps], states[n_steps])
 
-    # argmax returns the first NaN, and ``not <=`` rejects it
-    defects = physicality_defect(states)
+    times.flags.writeable = states.flags.writeable = controls.flags.writeable = False
+    metadata = {
+        "model_hash": _model_hash(model),
+        "step": float(step),
+        "horizon": float(times[-1]),
+        "law": law_info,
+    }
+    traj = Trajectory(times=times, states=states, controls=controls, metadata=metadata)
+    # the gate reads the trajectory's norms; argmax returns the first NaN, and ``not <=`` rejects it
+    defects = _norm_defect(*traj.norms)
     worst = int(np.argmax(defects))
-    report = {
+    if not defects[worst] <= ABORT_TOL:
+        raise PhysicalityError(float(times[worst]), float(defects[worst]))
+    metadata["physicality"] = {
         "max_defect": float(defects[worst]),
         "t_worst": float(times[worst]),
         "within_warn_tol": bool(defects[worst] <= WARN_TOL),
     }
-    if not defects[worst] <= ABORT_TOL:
-        raise PhysicalityError(float(times[worst]), float(defects[worst]))
-
-    metadata = {
-        "model_hash": model.hash_hex(),
-        "step": float(step),
-        "horizon": float(times[-1]),
-        "law": law_info,
-        "physicality": report,
-    }
-    return Trajectory(times=times, states=states, controls=controls, metadata=metadata)
+    return traj
 
 
 def purity_rate_b(model: TwoQubitModel, v) -> float:

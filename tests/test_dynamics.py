@@ -9,10 +9,12 @@ import pytest
 from scipy.linalg import expm
 
 from blochpair import dynamics
-from blochpair.coherence import embed_factorized, physicality_defect, to_coherence
+from blochpair.coherence import VA, VB, _square_norm, embed_factorized, physicality_defect
+from blochpair.coherence import reduced_purity, to_coherence
 from blochpair.dynamics import (
     _BLOCK,
     ABORT_TOL,
+    WARN_TOL,
     BoundaryStateError,
     ControlLaw,
     PhysicalityError,
@@ -25,12 +27,14 @@ from blochpair.dynamics import (
     write_trajectory_csv,
     write_trajectory_json,
     _rk4_map,
+    _segment_bounds,
 )
 from blochpair.generator import control_generators
 from blochpair.model import TwoQubitModel
 from blochpair.protection import Coupling, make_model
 from blochpair.quantum import SIGMA_MINUS
 from conftest import random_density_matrix, random_jump, random_model
+import oracles
 from oracles import random_control_laws as unique_control_laws
 from oracles import rk4_feedback_reference
 
@@ -756,3 +760,123 @@ def test_sampled_half_step_control_is_bound_checked():
             values=np.array([[0, 0, 0], [5, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=float),
             bound=1.0,
         )
+
+
+def _gain_law(rng):
+    gain = rng.uniform(-4, 4, (3, 16))
+    return ControlLaw.feedback(lambda t, v: np.clip(gain @ v, -1.0, 1.0), bound=1.0)
+
+
+@pytest.mark.parametrize(
+    "make_law",
+    [
+        lambda rng: ControlLaw.piecewise_constant(
+            [0.0, 0.5, 0.5002, 1.2], rng.uniform(-1, 1, (4, 3)), bound=1.0
+        ),
+        lambda rng: ControlLaw.sampled(
+            np.linspace(0.0, 2.0, 11), rng.uniform(-1, 1, (11, 3)), bound=1.0
+        ),
+        _gain_law,
+    ],
+    ids=["piecewise-dropped-segment", "sampled", "bounded-feedback"],
+)
+def test_stored_norms_equal_fresh_passes_bit_for_bit(rng, make_law):
+    law = make_law(rng)
+    traj = integrate(random_model(rng), to_coherence(random_density_matrix(rng)), law, 2.0, 1e-3)
+    states = traj.states
+    assert np.array_equal(traj.purity_full, _square_norm(states))
+    assert np.array_equal(traj.purity_a, reduced_purity(states[:, VA]))
+    assert np.array_equal(traj.purity_b, reduced_purity(states[:, VB]))
+    defects = physicality_defect(states)
+    report = traj.metadata["physicality"]
+    assert report["max_defect"] == defects.max() == oracles.physicality_defect(states).max()
+    assert report["t_worst"] == traj.times[np.argmax(defects)]
+    assert report["within_warn_tol"] == (defects.max() <= WARN_TOL)
+    dropped = traj.metadata["law"].get("dropped_segments", 0)
+    assert dropped == (law.kind == "piecewise-constant")
+
+
+def test_gate_reports_the_first_worst_state():
+    # a closed model keeps the maximally mixed state exactly: every defect ties at -1/4
+    traj = integrate(closed_model(), MIXED16, ControlLaw.constant([0.3, -0.2, 0.1]), 1.0, 1e-2)
+    assert np.all(physicality_defect(traj.states) == -0.25)
+    assert traj.metadata["physicality"]["max_defect"] == -0.25
+    assert traj.metadata["physicality"]["t_worst"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "va, vb",
+    [([0, 0, 0.5], [0.3, 0, 0]), ([0.3, 0, 0], [0, 0.5, 0]), ([0, 0, 0.5], [0, 0.5, 0])],
+    ids=["vA-binds", "vB-binds", "full-binds"],
+)
+@pytest.mark.parametrize("growth, aborts", [(1e-7, False), (1e-5, True)], ids=["warn", "abort"])
+def test_recorded_states_are_gated(monkeypatch, va, vb, growth, aborts):
+    # a generator that scales every non-trace component by exp(growth t):
+    # the bound that the pure block meets at t = 0 is broken by
+    # ~growth * t / 2 (1.5 growth t for the full norm of a pure product),
+    # so only recorded states fail it
+    def growing(model):
+        m0, mc = control_generators(model)
+        return m0 + growth * np.diag([0.0] + [1.0] * 15), mc
+
+    monkeypatch.setattr(dynamics, "control_generators", growing)
+    start, law = embed_factorized(va, vb), ControlLaw.constant([0.2, 0, 0])
+    if aborts:
+        with pytest.raises(PhysicalityError) as info:
+            integrate(closed_model(), start, law, 5.0, 1e-2)
+        assert info.value.t == 5.0 and ABORT_TOL < info.value.defect < 1e-3
+        return
+    traj = integrate(closed_model(), start, law, 5.0, 1e-2)
+    report = traj.metadata["physicality"]
+    assert WARN_TOL < report["max_defect"] <= ABORT_TOL and not report["within_warn_tol"]
+    assert report["max_defect"] == oracles.physicality_defect(traj.states).max()
+    assert report["t_worst"] == 5.0
+
+
+@pytest.mark.parametrize(
+    "law", [ControlLaw.constant([0.1, 0.2, 0.3]), _gain_law(np.random.default_rng(3))], ids=["piecewise", "feedback"]
+)
+def test_integrate_returns_read_only_arrays(law):
+    traj = integrate(closed_model(), MIXED16, law, 0.1, 1e-2)
+    for name in ("times", "states", "controls"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = 0.0
+    for norm in traj.norms:
+        with pytest.raises(ValueError, match="read-only"):
+            norm[0] = 0.0
+
+
+def test_piecewise_controls_match_row_broadcast_reference(rng):
+    # [0.5, 0.5002) snaps to no step and 1.7 lies past the horizon
+    times = [0.0, 0.2501, 0.5, 0.5002, 0.77, 1.7]
+    law = ControlLaw.piecewise_constant(times, rng.uniform(-1, 1, (6, 3)))
+    n_steps, step = 1000, 1e-3
+    traj = integrate(closed_model(), MIXED16, law, 1.0, step)
+    reference = np.empty((n_steps + 1, 3))
+    for a, b, u in _segment_bounds(law, n_steps, step):
+        reference[a:b] = u
+    reference[n_steps] = reference[n_steps - 1]
+    assert np.array_equal(traj.controls, reference)
+    assert np.array_equal(traj.controls[-1], law.values[4])
+    assert traj.metadata["law"]["dropped_segments"] == 2
+
+
+def test_purification_scan_hashes_its_model_once(rng, monkeypatch):
+    hashes, trajectories = [], []
+    hash_hex = TwoQubitModel.hash_hex
+
+    def counted_hash(model):
+        hashes.append(model)
+        return hash_hex(model)
+
+    def tapped(*args, **kwargs):
+        trajectories.append(integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(TwoQubitModel, "hash_hex", counted_hash)
+    monkeypatch.setattr(dynamics, "integrate", tapped)
+    model = random_model(rng)
+    laws = [ControlLaw.constant([0, 0, 0])] + random_control_laws(rng, 10, 1.0, 1.0)
+    purification_scan(model, MIXED16, laws, [0.5, 1.0], 1e-2)
+    assert hashes == [model] and len(trajectories) == 11
+    assert all(t.metadata["model_hash"] == hash_hex(model) for t in trajectories)
