@@ -11,7 +11,6 @@ from .coherence import (
     embed_factorized,
     factorization_residual,
     from_coherence,
-    is_density_image,
     lambda_basis,
     physicality_defect,
     to_coherence,
@@ -89,7 +88,6 @@ __all__ = [
     "from_coherence",
     "generator",
     "integrate",
-    "is_density_image",
     "lambda_basis",
     "load_model",
     "make_model",

@@ -22,13 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantum import (
-    EIGENVALUE_FLOOR,
-    IDENTITY_2,
-    pauli,
-    tensor,
-    validate_density_matrix,
-)
+from .quantum import IDENTITY_2, pauli, tensor, validate_density_matrix
 
 # Index layout of the flat 16-vector.
 IDX_C0 = 0
@@ -80,8 +74,8 @@ def to_coherence(rho: np.ndarray) -> np.ndarray:
 def from_coherence(v) -> np.ndarray:
     """Reassemble the 4x4 Hermitian matrix with the given coordinates.
 
-    The result has unit trace but is *not* guaranteed positive
-    semi-definite; use :func:`is_density_image` to test that separately.
+    Its trace is ``2 c0`` and it need not be positive semi-definite;
+    :func:`~blochpair.quantum.validate_density_matrix` tests both.
     """
     flat = _as_flat(v)
     return np.einsum("i,ikl->kl", flat, _LAMBDA)
@@ -149,9 +143,3 @@ def physicality_defect(states) -> np.ndarray:
     ``|vB|^2 - 1/4``.  Values at or below zero mean all bounds hold.
     """
     return _norm_defect(*_square_norms(states))
-
-
-def is_density_image(v) -> bool:
-    """Whether the coordinates correspond to a positive semi-definite state."""
-    eigs = np.linalg.eigvalsh(from_coherence(v))
-    return bool(eigs.min() >= EIGENVALUE_FLOOR)

@@ -34,10 +34,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .coherence import VB, from_coherence, is_density_image, physicality_defect
+from .coherence import VB, from_coherence, physicality_defect
 from .coherence import _as_flat, _norm_defect, _purity_of, _square_norm, _square_norms
 from .generator import control_generators
 from .model import TwoQubitModel
+from .quantum import validate_density_matrix
 
 #: worst constraint violation tolerated before a run is aborted
 ABORT_TOL = 1e-6
@@ -270,7 +271,9 @@ def integrate(
     Raises
     ------
     ValueError
-        If the start state is not positive semi-definite (checked once),
+        If the start state passes the norm gate but not
+        :func:`~blochpair.quantum.validate_density_matrix` (a trace other
+        than one, ``c0 != 1/2``, or a negative eigenvalue; checked once),
         or a control computed during the run breaks the law's bound.
     PhysicalityError
         If the start or any recorded state violates the norm constraints
@@ -285,7 +288,8 @@ def integrate(
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (np.isfinite(horizon) and horizon >= step):
         raise ValueError(f"horizon must be finite and at least one step, got {horizon}")
-    need = (horizon / step + 1) * 20 * 8  # bytes of states, controls and times: 20 float64 a step
+    # bytes held at the gate, 25 float64 a step: states 16, controls 3, times 1, norms 3, gate 2
+    need = (horizon / step + 1) * 25 * 8
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if not need <= memory:
         raise MemoryError(
@@ -299,8 +303,7 @@ def integrate(
     start_defect = float(physicality_defect(start))
     if not start_defect <= ABORT_TOL:
         raise PhysicalityError(0.0, start_defect)
-    if not is_density_image(start):
-        raise ValueError("start state is not a density matrix: it has a negative eigenvalue")
+    validate_density_matrix(from_coherence(start))
 
     m0, mc = _split(model)
     mc_rows = mc.reshape(3, -1)

@@ -67,25 +67,19 @@ class TwoQubitModel:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
         jumps = tuple(np.asarray(j, dtype=complex) for j in self.jumps)
-        for k, ell in enumerate(jumps):
-            if ell.shape != (2, 2):
-                raise ValueError(f"jump operator {k} must be 2x2, got {ell.shape}")
-            if not np.all(np.isfinite(ell)):
-                raise ValueError(f"jump operator {k} must be finite")
-            if abs(np.trace(ell)) > _TRACELESS_TOL:
-                raise ValueError(f"jump operator {k} is not traceless")
         ctrls = tuple(np.asarray(h, dtype=complex) for h in self.control_hams)
         if len(ctrls) != 3:
             raise ValueError("exactly three control Hamiltonians are required")
-        for k, h in enumerate(ctrls):
-            if h.shape != (2, 2):
-                raise ValueError(f"control Hamiltonian {k} must be 2x2")
-            if not np.all(np.isfinite(h)):
-                raise ValueError(f"control Hamiltonian {k} must be finite")
-            if hermiticity_defect(h) > _TRACELESS_TOL:
-                raise ValueError(f"control Hamiltonian {k} is not Hermitian")
-            if abs(np.trace(h)) > _TRACELESS_TOL:
-                raise ValueError(f"control Hamiltonian {k} is not traceless")
+        for name, mats, hermitian in (("jump operator", jumps, False), ("control Hamiltonian", ctrls, True)):
+            for k, m in enumerate(mats):
+                if m.shape != (2, 2):
+                    raise ValueError(f"{name} {k} must be 2x2, got {m.shape}")
+                if not np.all(np.isfinite(m)):
+                    raise ValueError(f"{name} {k} must be finite")
+                if hermitian and hermiticity_defect(m) > _TRACELESS_TOL:
+                    raise ValueError(f"{name} {k} is not Hermitian")
+                if abs(np.trace(m)) > _TRACELESS_TOL:
+                    raise ValueError(f"{name} {k} is not traceless")
         object.__setattr__(self, "omega_a", omega_a)
         object.__setattr__(self, "omega_b", omega_b)
         object.__setattr__(self, "lam", _freeze(lam))

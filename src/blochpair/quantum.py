@@ -63,25 +63,30 @@ def hermiticity_defect(m: np.ndarray) -> float:
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix and return it as a complex array.
 
+    The package's one test of what a state is: ``to_coherence`` runs it
+    on its input and ``integrate`` on its start state.
+
     Raises
     ------
     ValueError
         If ``rho`` is not square, not Hermitian within
         :data:`HERMITICITY_TOL`, has trace away from one by more than
         :data:`TRACE_TOL`, or has an eigenvalue below
-        :data:`EIGENVALUE_FLOOR`.
+        :data:`EIGENVALUE_FLOOR`.  A non-finite entry fails too: its
+        Hermiticity defect is NaN or infinite, and every test is written
+        ``not x <= tol``, which NaN fails.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
         raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < EIGENVALUE_FLOOR:
+    if not eigs.min() >= EIGENVALUE_FLOOR:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
     return rho
 

@@ -11,7 +11,6 @@ from blochpair.coherence import (
     embed_factorized,
     factorization_residual,
     from_coherence,
-    is_density_image,
     lambda_basis,
     physicality_defect,
     reduced_purity,
@@ -127,14 +126,14 @@ def test_near_pure_reduced_states_are_near_factorized(rng):
 
 
 def test_positivity_predicate():
-    assert is_density_image(to_coherence(KET00))
+    assert oracles.is_density_matrix(from_coherence(to_coherence(KET00)))
     # unit-norm coordinates that do not correspond to a state: a single
     # correlation entry of sqrt(3)/2 forces a negative eigenvalue
     v = np.zeros(16)
     v[0] = 0.5
     v[4 + ab_slot(1, 1)] = np.sqrt(3) / 2
     assert abs(v @ v - 1.0) < 1e-15
-    assert not is_density_image(v)
+    assert not oracles.is_density_matrix(from_coherence(v))
     m = from_coherence(v)
     assert np.linalg.eigvalsh(m).min() < -0.1
     assert abs(np.trace(m) - 1) < 1e-14

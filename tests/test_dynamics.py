@@ -94,6 +94,12 @@ def test_directly_built_law_is_checked(make, message):
         make()
 
 
+@pytest.mark.parametrize("make", [ControlLaw.piecewise_constant, ControlLaw.sampled])
+def test_control_law_needs_one_value_per_time(make):
+    with pytest.raises(ValueError, match="one control value per time"):
+        make([0.0, 1.0, 2.0], np.zeros((2, 3)))
+
+
 def test_control_law_values_cannot_change_after_checks():
     values = np.zeros((2, 3))
     law = ControlLaw.piecewise_constant([0.0, 1.0], values, bound=1.0)
@@ -576,6 +582,42 @@ def test_non_positive_start_rejected():
     assert physicality_defect(start) <= 0.0
     with pytest.raises(ValueError, match="negative eigenvalue"):
         integrate(closed_model(), start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
+
+
+@pytest.mark.parametrize(
+    "c0, damped",
+    [(0.0, False), (0.3, False), (0.7, False), (0.3, True)],
+    ids=["c0=0-closed", "c0=0.3-closed", "c0=0.7-closed", "c0=0.3-damped"],
+)
+def test_start_without_unit_trace_rejected(c0, damped):
+    # rho = (c0 / 2) I is positive and within every norm constraint, but its trace is 2 c0
+    start = np.zeros(16)
+    start[0] = c0
+    assert physicality_defect(start) <= 0.0
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (SIGMA_MINUS,)) if damped else closed_model()
+    with pytest.raises(ValueError, match="trace"):
+        integrate(model, start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
+
+
+def test_purification_scan_rejects_start_without_unit_trace():
+    # rho = 0.15 I is interior, so require_interior lets it in; integrate's gate refuses its trace 0.6
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
+    start = np.zeros(16)
+    start[0] = 0.3
+    with pytest.raises(ValueError, match="trace"):
+        purification_scan(model, start, [ControlLaw.constant([0, 0, 0])], [1.0], 1e-2)
+
+
+def test_memory_guard_counts_what_the_run_holds(monkeypatch):
+    # a 1,000-step run records 1,001 states and holds 25 float64 for each at the gate
+    def run_with_memory(floats_per_step):
+        memory = {"SC_PHYS_PAGES": floats_per_step * 8 * 1001, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(dynamics.os, "sysconf", memory.__getitem__)
+        return integrate(closed_model(), MIXED16, ControlLaw.constant([0, 0, 0]), 1.0, 1e-3)
+
+    with pytest.raises(MemoryError, match=r"horizon 1 at step 0.001 needs"):
+        run_with_memory(22)
+    assert len(run_with_memory(25)) == 1001
 
 
 @pytest.mark.parametrize(

@@ -176,6 +176,21 @@ def test_model_rejects_bad_inputs():
         )
 
 
+@pytest.mark.parametrize(
+    "operators, message",
+    [
+        ({"jumps": (np.eye(3),)}, r"jump operator 0 must be 2x2, got \(3, 3\)"),
+        ({"control_hams": (pauli(1), pauli(2))}, "exactly three control Hamiltonians are required"),
+        ({"control_hams": (pauli(1), np.zeros((3, 3)), pauli(3))}, r"control Hamiltonian 1 must be 2x2, got \(3, 3\)"),
+        ({"control_hams": (pauli(1), pauli(2), np.eye(2))}, "control Hamiltonian 2 is not traceless"),
+    ],
+    ids=["3x3-jump", "two-controls", "3x3-control", "control-with-trace"],
+)
+def test_model_rejects_each_malformed_operator(operators, message):
+    with pytest.raises(ValueError, match=message):
+        TwoQubitModel(0.3, 0.9, np.eye(3), **operators)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["omega_a", "omega_b", "lam", "jump operator 0", "control Hamiltonian 1"])
 def test_model_rejects_non_finite_entries(field, bad):

@@ -245,6 +245,18 @@ def test_dispersive_invariance_under_control_and_damping(rng):
         assert report["structure_defect"] == 0.0
 
 
+def test_dispersive_invariant_report_rejects_zero_sign():
+    model = make_model(Coupling("dispersive", 0.8), 0.9, 1.2, (SIGMA_MINUS,))
+    with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+        dispersive_invariant_report(model, [0.2, -0.1, 0.3], 0, ControlLaw.constant(ZERO_U), 1.0, 1e-2)
+
+
+def test_affine_solution_set_reports_an_inconsistent_system():
+    # d_hat vA has no third component, so v0 / 2 + d_hat vA = 0 has no solution for v0 = (0, 0, 1)
+    solve = protection._affine_solution_set(np.diag([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    assert solve == {"kind": "empty", "dimension": None, "min_norm": None, "has_norm_half": False}
+
+
 # -- compatibility and the protecting control ---------------------------------
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blochpair.coherence import to_coherence
 from blochpair.quantum import (
     IDENTITY_2,
     SIGMA_MINUS,
@@ -180,3 +181,29 @@ SIGMA_MINUS_FULL = tensor(SIGMA_MINUS, IDENTITY_2)
 def test_validate_reports_reason():
     with pytest.raises(ValueError, match="trace"):
         validate_density_matrix(np.eye(4, dtype=complex))
+
+
+def test_validate_rejects_non_square():
+    with pytest.raises(ValueError, match=r"must be square, got shape \(4, 3\)"):
+        validate_density_matrix(np.zeros((4, 3)))
+
+
+def test_validate_rejects_negative_eigenvalue():
+    rho = np.diag([1.5, -0.5, 0.0, 0.0])  # Hermitian with unit trace
+    with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+        validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_entries_rejected(where, bad):
+    rho = IDENTITY_4 / 4
+    if where == "diagonal":
+        rho[0, 0], rho[1, 1] = bad, -bad  # the trace is NaN, as for a NaN entry
+    else:
+        rho[0, 1] = rho[1, 0] = bad
+    for gate in (validate_density_matrix, to_coherence):
+        with pytest.raises(ValueError, match="density matrix") as info:
+            gate(rho)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
