@@ -81,16 +81,12 @@ def from_coherence(v) -> np.ndarray:
     return np.einsum("i,ikl->kl", flat, _LAMBDA)
 
 
-def _square_norm(x, out=None) -> np.ndarray:
-    return np.einsum("...i,...i->...", x, x, out=out)
-
-
-def reduced_purity(block) -> np.ndarray:
-    """One-qubit purity ``Tr(rho^2) = 1/2 + 2|x|^2`` of Bloch blocks ``x`` (last axis)."""
-    return _purity_of(_square_norm(block))
+def _square_norm(x) -> np.ndarray:
+    return np.einsum("...i,...i->...", x, x)
 
 
 def _purity_of(square_norm) -> np.ndarray:
+    """One-qubit purity ``Tr(rho^2) = 1/2 + 2|x|^2`` of Bloch blocks ``x`` with ``|x|^2 = square_norm``."""
     return 0.5 + 2.0 * square_norm
 
 

@@ -17,8 +17,9 @@ Trajectories record every step, read-only, and compute each state's
 ``|v|^2``, ``|vA|^2`` and ``|vB|^2`` once; the physicality gate, the
 purities, the scan and the exports read them.  The ``c0`` component
 has identically zero derivative (first generator row is zero), so it
-stays at exactly ``1/2`` without enforcement.  The CSV export formats
-``B`` rows per ``%`` operation and streams them; its bytes equal
+stays at exactly ``1/2`` without enforcement.  Both exports read the
+trajectory's arrays without copying them into a table.  The CSV export
+formats ``B`` rows per ``%`` operation and streams them; its bytes equal
 per-field ``.17g``.  The JSON export streams one column at a time.
 """
 
@@ -208,16 +209,23 @@ def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float) -> np.nda
 
 
 @functools.lru_cache(maxsize=4)
-def _split(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray]:
-    """``control_generators(model)``, built once per model (models hash by identity)."""
+def _split(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray, str]:
+    """``control_generators(model)`` and ``model.hash_hex()``, built once per model (models hash by identity)."""
     m0, mc = control_generators(model)
     m0.flags.writeable = mc.flags.writeable = False
-    return m0, mc
+    return m0, mc, model.hash_hex()
 
 
-@functools.lru_cache(maxsize=4)  # one hash per model, as ``_split`` is one split per model
-def _model_hash(model: TwoQubitModel) -> str:
-    return model.hash_hex()
+@functools.lru_cache(maxsize=4)
+def _checked_start(raw: bytes) -> np.ndarray:
+    """The read-only start state held in ``raw``, checked once per distinct start: the norm
+    gate, then :func:`~blochpair.quantum.validate_density_matrix`.  A failure is not cached."""
+    start = np.frombuffer(raw)
+    start_defect = float(physicality_defect(start))
+    if not start_defect <= ABORT_TOL:
+        raise PhysicalityError(0.0, start_defect)
+    validate_density_matrix(from_coherence(start))
+    return start
 
 
 def _segment_bounds(law: ControlLaw, n_steps: int, step: float) -> list[tuple[int, int, np.ndarray]]:
@@ -265,8 +273,9 @@ def integrate(
         snapped to the nearest integer number of steps.
 
     Every trajectory, the scan's included, comes from here; the affine
-    split of ``model`` is built on its first call and reused.  The
-    returned arrays are read-only, so the stored norms cannot go stale.
+    split and hash of ``model`` are built on its first call and reused,
+    and each distinct start is checked once.  The returned arrays are
+    read-only, so the stored norms cannot go stale.
 
     Raises
     ------
@@ -299,13 +308,8 @@ def integrate(
     n_steps = int(round(horizon / step))
     times = np.arange(n_steps + 1) * step
 
-    start = _as_flat(v0)
-    start_defect = float(physicality_defect(start))
-    if not start_defect <= ABORT_TOL:
-        raise PhysicalityError(0.0, start_defect)
-    validate_density_matrix(from_coherence(start))
-
-    m0, mc = _split(model)
+    start = _checked_start(_as_flat(v0).tobytes())
+    m0, mc, model_hash = _split(model)
     mc_rows = mc.reshape(3, -1)
 
     def generator_at(u):  # M0 + sum_j u_j Mc_j, for one control or a stack of them
@@ -357,7 +361,7 @@ def integrate(
 
     times.flags.writeable = states.flags.writeable = controls.flags.writeable = False
     metadata = {
-        "model_hash": _model_hash(model),
+        "model_hash": model_hash,
         "step": float(step),
         "horizon": float(times[-1]),
         "law": law_info,
@@ -488,10 +492,10 @@ _CSV_HEADER = (
 )
 
 
-def _trajectory_table(traj: Trajectory) -> np.ndarray:
-    return np.column_stack(
-        [traj.times, traj.controls, traj.states, traj.purity_full, traj.purity_a, traj.purity_b]
-    )
+def _columns(traj: Trajectory) -> list[np.ndarray]:
+    """The exported columns as ``(n, k)`` arrays: the trajectory's own, no table is copied."""
+    return [traj.times[:, None], traj.controls, traj.states,
+            traj.purity_full[:, None], traj.purity_a[:, None], traj.purity_b[:, None]]
 
 
 def atomic_write_text(path, text: str | Iterable[str]) -> None:
@@ -515,9 +519,9 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export with 17-significant-digit fields, streamed in ``%``-formatted blocks."""
-    table = _trajectory_table(traj)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    blocks = (table[k : k + _BLOCK] for k in range(0, len(table), _BLOCK))
+    columns = _columns(traj)
+    row = ",".join(["%.17g"] * len(_CSV_HEADER.split(","))) + "\n"
+    blocks = (np.hstack([c[k : k + _BLOCK] for c in columns]) for k in range(0, len(traj), _BLOCK))
     chunks = ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
     atomic_write_text(path, itertools.chain([_CSV_HEADER + "\n"], chunks))
 
@@ -527,10 +531,10 @@ def write_trajectory_json(traj: Trajectory, path) -> None:
 
     The bytes equal ``json.dumps({"columns": {...}, "metadata": ...}) + "\\n"``.
     """
-    table = _trajectory_table(traj)
+    flat = (c[:, j] for c in _columns(traj) for j in range(c.shape[1]))
     columns = (
-        (", " if i else "") + f"{json.dumps(name)}: {json.dumps(table[:, i].tolist())}"
-        for i, name in enumerate(_CSV_HEADER.split(","))
+        (", " if i else "") + f"{json.dumps(name)}: {json.dumps(col.tolist())}"
+        for i, (name, col) in enumerate(zip(_CSV_HEADER.split(","), flat))
     )
     tail = '}, "metadata": ' + json.dumps(traj.metadata) + "}\n"
     atomic_write_text(path, itertools.chain(['{"columns": {'], columns, [tail]))

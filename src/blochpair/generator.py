@@ -113,11 +113,9 @@ def assemble_blocks(model: TwoQubitModel, u) -> GeneratorBlocks:
     h_a = _rotation_generator(model.hamiltonian_a(u))
     h_b = _rotation_generator(model.hamiltonian_b())
     lam = model.lam
-    h_it = np.zeros((3, 9))
-    h_ib = np.zeros((3, 9))
-    for j in (1, 2, 3):
-        h_it += tensor(_T[j - 1], lam[j - 1, :].reshape(1, 3))
-        h_ib += tensor(lam[:, j - 1].reshape(1, 3), _T[j - 1])
+    # the T_j have disjoint supports, so each entry is a single product
+    h_it = np.einsum("jab,jc->abc", _T, lam).reshape(3, 9)
+    h_ib = np.einsum("bj,jac->abc", lam, _T).reshape(3, 9)
     d_hat, v0 = dissipator_blocks(model.jumps)
     return GeneratorBlocks(h_a=h_a, h_b=h_b, h_it=h_it, h_ib=h_ib, d_hat=d_hat, v0=v0)
 

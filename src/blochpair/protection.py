@@ -57,22 +57,6 @@ COMPATIBILITY_TOL = 1e-10
 _TRANSCRIPTION_U = (0.4, -0.3, 0.6)
 #: drift norm at or below which the obstruction sweep counts a zero
 _DRIFT_TOL = 1e-9
-
-
-def _largest_square_within(tol: float) -> float:
-    """Largest double ``sq`` with ``sqrt(sq) <= tol``."""
-    sq = tol * tol
-    while np.sqrt(sq) > tol:
-        sq = np.nextafter(sq, 0.0)
-    while np.sqrt(np.nextafter(sq, np.inf)) <= tol:
-        sq = np.nextafter(sq, np.inf)
-    return float(sq)
-
-
-#: squared drift norm at or below which the sweep counts a zero: ``sqrt`` is
-#: correctly rounded and monotone, so ``sq <= _DRIFT_TOL_SQ`` exactly when
-#: ``sqrt(sq) <= _DRIFT_TOL``, and the sweep never takes a root to test a node
-_DRIFT_TOL_SQ = _largest_square_within(_DRIFT_TOL)
 #: grid pairs per chunk of the obstruction sweep (whole vB-grid rows); chunks
 #: this small keep each temporary near 0.3 MB, so the allocator reuses its
 #: memory instead of mapping and faulting in fresh pages on every chunk; a
@@ -445,8 +429,8 @@ def _drift_rows(coef: np.ndarray, mono: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Per row ``r`` of the drifts ``coef[r] @ mono``: zero count, first zero, smallest norm.
 
     A chunk of rows at a time, only each row's smallest squared norm is
-    kept.  The rows whose minimum reaches :data:`_DRIFT_TOL_SQ`, or is NaN
-    and so may hide a zero, are evaluated again for their zeros.
+    kept.  The rows whose smallest norm is at most :data:`_DRIFT_TOL`, or is
+    NaN and so may hide a zero, are evaluated again for their zeros.
     """
 
     def squares(rows):
@@ -460,13 +444,14 @@ def _drift_rows(coef: np.ndarray, mono: np.ndarray) -> tuple[np.ndarray, np.ndar
         np.min(squares(chunk), axis=1, out=least[chunk])
     n_zero = np.zeros(len(coef), dtype=np.intp)
     first_zero = np.zeros(len(coef), dtype=np.intp)
-    hit = np.flatnonzero(~(least > _DRIFT_TOL_SQ))
+    row_min = np.sqrt(least)
+    hit = np.flatnonzero(~(row_min > _DRIFT_TOL))
     for start in range(0, len(hit), rows_per_chunk):
         rows = hit[start : start + rows_per_chunk]
-        zero = squares(rows) <= _DRIFT_TOL_SQ
+        zero = np.sqrt(squares(rows)) <= _DRIFT_TOL
         n_zero[rows] = np.count_nonzero(zero, axis=1)
         first_zero[rows] = np.argmax(zero, axis=1)
-    return n_zero, first_zero, np.sqrt(least)
+    return n_zero, first_zero, row_min
 
 
 def resonant_obstruction_report(
@@ -491,7 +476,7 @@ def resonant_obstruction_report(
 
     Each ``vA`` row of the grid, and each random pair as a one-column
     row, goes through :func:`_drift_rows`: only the rows whose smallest
-    squared drift norm reaches :data:`_DRIFT_TOL_SQ` are searched for zeros.
+    drift norm is at most :data:`_DRIFT_TOL` are searched for zeros.
 
     ``grid_step`` must be finite, positive and small enough that some
     point of the ``vA`` grid lies in the ball.  A given ``model`` must

@@ -13,9 +13,9 @@ from blochpair.coherence import (
     from_coherence,
     lambda_basis,
     physicality_defect,
-    reduced_purity,
     to_coherence,
 )
+from blochpair.dynamics import Trajectory
 from blochpair.quantum import tensor
 from conftest import random_density_matrix, random_pure_state
 import oracles
@@ -71,23 +71,24 @@ def test_round_trip(rng):
     )
 
 
+def _purities(rhos) -> Trajectory:
+    """A trajectory recording the states ``rhos``, for its reduced purities."""
+    n = len(rhos)
+    return Trajectory(times=np.arange(n), states=np.array([to_coherence(r) for r in rhos]), controls=np.zeros((n, 3)))
+
+
 def test_reduced_blocks_match_partial_traces(rng):
     rhos = [random_density_matrix(rng) for _ in range(25)]
-    vs = [to_coherence(rho) for rho in rhos]
+    traj = _purities(rhos)
     purity_a = [purity(partial_trace_b(rho)) for rho in rhos]
     purity_b = [purity(partial_trace_a(rho)) for rho in rhos]
-    for v, pa, pb in zip(vs, purity_a, purity_b):
-        assert reduced_purity(v[VA]) == pytest.approx(pa, abs=1e-12)
-        assert reduced_purity(v[VB]) == pytest.approx(pb, abs=1e-12)
-    stack_a = np.array([v[VA] for v in vs])
-    stack_b = np.array([v[VB] for v in vs])
-    np.testing.assert_allclose(reduced_purity(stack_a), purity_a, atol=1e-12)
-    np.testing.assert_allclose(reduced_purity(stack_b), purity_b, atol=1e-12)
+    np.testing.assert_allclose(traj.purity_a, purity_a, atol=1e-12)
+    np.testing.assert_allclose(traj.purity_b, purity_b, atol=1e-12)
 
 
 def test_reduced_purity_extremes():
-    assert reduced_purity(to_coherence(MIXED)[VB]) == pytest.approx(0.5, abs=1e-14)
-    assert reduced_purity(to_coherence(KET00)[VB]) == pytest.approx(1.0, abs=1e-14)
+    traj = _purities([MIXED, KET00])
+    np.testing.assert_allclose(traj.purity_b, [0.5, 1.0], atol=1e-14)
 
 
 def test_factorization_residual_product_states(rng):

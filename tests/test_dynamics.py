@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from blochpair import dynamics
 from blochpair.coherence import VA, VB, _square_norm, embed_factorized, physicality_defect
-from blochpair.coherence import reduced_purity, to_coherence
+from blochpair.coherence import to_coherence
 from blochpair.dynamics import (
     _BLOCK,
     ABORT_TOL,
@@ -32,7 +32,7 @@ from blochpair.dynamics import (
 from blochpair.generator import control_generators
 from blochpair.model import TwoQubitModel
 from blochpair.protection import Coupling, make_model
-from blochpair.quantum import SIGMA_MINUS
+from blochpair.quantum import SIGMA_MINUS, validate_density_matrix
 from conftest import random_density_matrix, random_jump, random_model
 import oracles
 from oracles import random_control_laws as unique_control_laws
@@ -375,6 +375,23 @@ def test_json_export_streams_columns(tmp_path, rng):
     assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
 
 
+def test_exports_copy_no_table_of_the_trajectory(tmp_path, rng):
+    # beyond the trajectory, the CSV export holds its two reduced purities and
+    # one block of rows; the JSON export also one column as floats and as text
+    n = 20_000
+    traj = Trajectory(
+        times=np.arange(n) * 1e-3, states=rng.uniform(-1, 1, (n, 16)), controls=rng.uniform(-1, 1, (n, 3))
+    )
+    for write, floats_per_step in ((write_trajectory_csv, 5), (write_trajectory_json, 20)):
+        tracemalloc.start()
+        try:
+            write(traj, tmp_path / "t.out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= floats_per_step * 8 * n, (write.__name__, peak / (8 * n))
+
+
 def test_atomic_write_failing_chunks_leave_nothing(tmp_path):
     def chunks():
         yield "first chunk\n"
@@ -476,6 +493,22 @@ def test_purification_scan_calls_integrate_once_per_law(rng, monkeypatch):
     laws = [ControlLaw.constant([0, 0, 0])] + random_control_laws(rng, 3, 1.0, 2.0)
     purification_scan(model, MIXED16, laws, [1.0, 2.0], 1e-2)
     assert calls == laws
+
+
+def test_purification_scan_checks_its_start_once(rng, monkeypatch):
+    # integrate runs once per law; the start it is given is the same each time
+    checks = []
+
+    def counted(rho):
+        checks.append(rho)
+        return validate_density_matrix(rho)
+
+    monkeypatch.setattr(dynamics, "validate_density_matrix", counted)
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
+    laws = [ControlLaw.constant([0, 0, 0])] + random_control_laws(rng, 10, 1.0, 1.0)
+    start = to_coherence(random_density_matrix(rng))  # a start no earlier test has checked
+    report = purification_scan(model, start, laws, [0.5, 1.0], 1e-2)
+    assert len(report["entries"]) == 11 and len(checks) == 1
 
 
 def test_control_split_built_once_per_model(rng, monkeypatch):
@@ -597,6 +630,21 @@ def test_start_without_unit_trace_rejected(c0, damped):
     model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (SIGMA_MINUS,)) if damped else closed_model()
     with pytest.raises(ValueError, match="trace"):
         integrate(model, start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
+
+
+@pytest.mark.parametrize(
+    "entry, value, error", [(5, np.nan, PhysicalityError), (0, 0.3, ValueError)], ids=["nan", "trace"]
+)
+def test_refused_start_is_refused_on_every_call(entry, value, error):
+    # the start check is kept per distinct start, a refusal is not
+    start = MIXED16.copy()
+    start[entry] = value
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            integrate(closed_model(), start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_purification_scan_rejects_start_without_unit_trace():
@@ -827,8 +875,8 @@ def test_stored_norms_equal_fresh_passes_bit_for_bit(rng, make_law):
     traj = integrate(random_model(rng), to_coherence(random_density_matrix(rng)), law, 2.0, 1e-3)
     states = traj.states
     assert np.array_equal(traj.purity_full, _square_norm(states))
-    assert np.array_equal(traj.purity_a, reduced_purity(states[:, VA]))
-    assert np.array_equal(traj.purity_b, reduced_purity(states[:, VB]))
+    assert np.array_equal(traj.purity_a, 0.5 + 2.0 * _square_norm(states[:, VA]))
+    assert np.array_equal(traj.purity_b, 0.5 + 2.0 * _square_norm(states[:, VB]))
     defects = physicality_defect(states)
     report = traj.metadata["physicality"]
     assert report["max_defect"] == defects.max() == oracles.physicality_defect(states).max()

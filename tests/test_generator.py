@@ -67,6 +67,23 @@ def test_dispersive_coupling_block_pattern():
     np.testing.assert_allclose(assemble_generator(blocks)[VAB, VA], -expected.T, atol=1e-15)
 
 
+def test_coupling_blocks_match_the_kron_sum(rng):
+    # h_it = sum_j T_j x lam[j, :] and h_ib = sum_j lam[:, j] x T_j, summed from +0
+    # as a loop; the T_j have disjoint supports, so the blocks agree bit for bit
+    t = t_matrices()
+    for k in range(200):
+        lam = rng.uniform(-2.0, 2.0, (3, 3))
+        lam[rng.random((3, 3)) < 0.3] = 0.0
+        lam *= -1.0 if k % 2 else 1.0  # all-negative columns give -0 products
+        h_it, h_ib = np.zeros((3, 9)), np.zeros((3, 9))
+        for j in range(3):
+            h_it += np.kron(t[j], lam[j][None])
+            h_ib += np.kron(lam[:, j][None], t[j])
+        blocks = assemble_blocks(TwoQubitModel(0.3, 0.7, lam), np.zeros(3))
+        for got, want in ((blocks.h_it, h_it), (blocks.h_ib, h_ib)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_amplitude_damping_blocks():
     d_hat, v0 = dissipator_blocks([SIGMA_MINUS])
     np.testing.assert_allclose(d_hat, np.diag([-2.0, -2.0, -4.0]), atol=1e-14)

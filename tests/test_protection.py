@@ -446,11 +446,19 @@ def test_resonant_obstruction_report_matches_drift_batch_sweep(grid_step, seed):
     assert report["min_drift_off_sphere"] == pytest.approx(min_off, rel=0, abs=1e-15)
 
 
-def test_drift_tol_sq_is_the_largest_square_within_the_tolerance():
-    tol_sq = protection._DRIFT_TOL_SQ
-    assert np.sqrt(tol_sq) <= protection._DRIFT_TOL < np.sqrt(np.nextafter(tol_sq, 1.0))
+def _largest_square_within(tol: float) -> float:
+    """Largest double ``sq`` with ``sqrt(sq) <= tol``."""
+    sq = tol * tol
+    while np.sqrt(sq) > tol:
+        sq = np.nextafter(sq, 0.0)
+    while np.sqrt(np.nextafter(sq, 1.0)) <= tol:
+        sq = np.nextafter(sq, 1.0)
+    return sq
 
 
+#: the squared drift norms on either side of the sweep's tolerance
+_TOL_SQ = _largest_square_within(protection._DRIFT_TOL)
+_ABOVE_TOL_SQ = np.nextafter(_TOL_SQ, 1.0)
 #: single-component nodes from 6 ulps below the tolerance to 6 above it
 _NEAR_TOL = 1e-9 + np.arange(-6, 7) * np.spacing(1e-9)
 
@@ -467,7 +475,7 @@ def planted_rows(rng, n_rows, n_cols):
         w[13 + k, :, -1] = 0.0
         w[13 + k, 0, -1] = x
     # two-component nodes with squared norm exactly at the bound and one double above it
-    for row, sq in ((30, protection._DRIFT_TOL_SQ), (31, np.nextafter(protection._DRIFT_TOL_SQ, 1.0))):
+    for row, sq in ((30, _TOL_SQ), (31, _ABOVE_TOL_SQ)):
         w[row, :, -1] = 0.0
         w[row, :2, -1] = 1e-9, np.sqrt(sq - 1e-18)
     w[-1, :, -1] = 0.0  # a zero in the last row of the last chunk
@@ -490,7 +498,8 @@ def test_drift_rows_match_the_per_node_reduction(n_rows, n_cols, rng):
     counted = n_zero[13 : 13 + len(_NEAR_TOL)]
     assert counted.any() and not counted.all()  # the tolerance nodes fall on both sides
     bound = np.einsum("rk,rk->r", coef[30:32, :, -1], coef[30:32, :, -1])
-    assert list(bound) == [protection._DRIFT_TOL_SQ, np.nextafter(protection._DRIFT_TOL_SQ, 1.0)]
+    assert list(bound) == [_TOL_SQ, _ABOVE_TOL_SQ]
+    assert np.sqrt(bound[0]) <= protection._DRIFT_TOL < np.sqrt(bound[1])
     assert list(n_zero[30:32]) == [1, 0]
     assert n_zero[5] == 1 and n_zero[-1] == 1 and np.isnan(row_min[11])
     if n_cols > 4:
