@@ -58,7 +58,6 @@ from .quantum import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     pauli,
-    tensor,
     validate_density_matrix,
 )
 
@@ -104,7 +103,6 @@ __all__ = [
     "resonant_obstruction_report",
     "save_model",
     "t_matrices",
-    "tensor",
     "to_coherence",
     "transcription_report",
     "validate_density_matrix",

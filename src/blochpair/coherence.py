@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantum import IDENTITY_2, pauli, tensor, validate_density_matrix
+from .quantum import IDENTITY_2, pauli, validate_density_matrix
 
 # Index layout of the flat 16-vector.
 IDX_C0 = 0
@@ -34,12 +34,12 @@ VB = slice(13, 16)
 def _build_lambda_basis() -> np.ndarray:
     mats = [np.eye(4, dtype=complex) / 2.0]
     for i in (1, 2, 3):
-        mats.append(tensor(pauli(i), IDENTITY_2) / 2.0)
+        mats.append(np.kron(pauli(i), IDENTITY_2) / 2.0)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            mats.append(tensor(pauli(i), pauli(j)) / 2.0)
+            mats.append(np.kron(pauli(i), pauli(j)) / 2.0)
     for j in (1, 2, 3):
-        mats.append(tensor(IDENTITY_2, pauli(j)) / 2.0)
+        mats.append(np.kron(IDENTITY_2, pauli(j)) / 2.0)
     out = np.array(mats)
     out.setflags(write=False)
     return out

@@ -33,7 +33,7 @@ import numpy as np
 
 from .coherence import VA, VAB, VB, lambda_basis
 from .model import TwoQubitModel
-from .quantum import lindblad_apply, pauli, tensor
+from .quantum import lindblad_apply, pauli
 
 _T = np.array(
     [
@@ -128,11 +128,11 @@ def assemble_generator(blocks: GeneratorBlocks) -> np.ndarray:
     m[VA, VAB] = blocks.h_it
     m[VAB, VA] = -blocks.h_it.T
     m[VAB, VAB] = (
-        tensor(blocks.h_a, _I3)
-        + tensor(_I3, blocks.h_b)
-        + tensor(blocks.d_hat, _I3)
+        np.kron(blocks.h_a, _I3)
+        + np.kron(_I3, blocks.h_b)
+        + np.kron(blocks.d_hat, _I3)
     )
-    m[VAB, VB] = -blocks.h_ib.T + tensor(blocks.v0.reshape(3, 1), _I3)
+    m[VAB, VB] = -blocks.h_ib.T + np.kron(blocks.v0.reshape(3, 1), _I3)
     m[VB, VAB] = blocks.h_ib
     m[VB, VB] = blocks.h_b
     return m

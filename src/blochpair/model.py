@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import IDENTITY_2, hermiticity_defect, pauli, tensor
+from .quantum import IDENTITY_2, hermiticity_defect, pauli
 
 _TRACELESS_TOL = 1e-12
 #: entrywise distance within which control Hamiltonians count as the Pauli set
@@ -106,20 +106,20 @@ class TwoQubitModel:
             for j in (1, 2, 3):
                 lij = self.lam[i - 1, j - 1]
                 if lij != 0.0:
-                    h += 0.5 * lij * tensor(pauli(i), pauli(j))
+                    h += 0.5 * lij * np.kron(pauli(i), pauli(j))
         return h
 
     def hamiltonian(self, u) -> np.ndarray:
         """Full 4x4 Hamiltonian at control value ``u``."""
         return (
-            tensor(self.hamiltonian_a(u), IDENTITY_2)
+            np.kron(self.hamiltonian_a(u), IDENTITY_2)
             + self.interaction()
-            + tensor(IDENTITY_2, self.hamiltonian_b())
+            + np.kron(IDENTITY_2, self.hamiltonian_b())
         )
 
     def full_jumps(self) -> list[np.ndarray]:
         """Jump operators embedded on the composite space as ``ell x I_2``."""
-        return [tensor(ell, IDENTITY_2) for ell in self.jumps]
+        return [np.kron(ell, IDENTITY_2) for ell in self.jumps]
 
     def has_default_controls(self) -> bool:
         return all(

@@ -24,7 +24,8 @@ Claims that hold for every control value are read off the affine split
 ``M(u) = M0 + sum_j u_j Mc[j]`` of
 :func:`~blochpair.generator.control_generators` instead of a grid of
 sampled controls: a block of ``M(u)`` that is zero in every ``Mc[j]`` is
-the same block of ``M0`` for all ``u``.
+the same block of ``M0`` for all ``u``.  The split is the one
+:func:`~blochpair.dynamics.integrate` caches, built once per model object.
 
 The obstruction sweep never builds the states of its ``vA`` x ``vB``
 grid.  For a fixed generator the drift is a polynomial of degree 2 in
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import VA, VAB, VB, embed_factorized
-from .dynamics import ControlLaw, Trajectory, integrate
-from .generator import control_generators, dissipator_blocks, generator, t_matrices
+from .dynamics import ControlLaw, Trajectory, _split, integrate
+from .generator import dissipator_blocks, generator, t_matrices
 from .model import TwoQubitModel
 from .quantum import SIGMA_MINUS
 
@@ -295,7 +296,7 @@ def protecting_control(model: TwoQubitModel, va3: float) -> tuple[float, float]:
     which is checked first.  ``u3`` is free and taken to be zero.
     """
     va3 = float(va3)
-    if abs(abs(va3) - 0.5) > 1e-10:
+    if not abs(abs(va3) - 0.5) <= 1e-10:
         raise ValueError(f"va3 must be +/- 1/2, got {va3}")
     if not model.has_default_controls():
         raise ValueError("the protecting control law assumes the default Pauli controls")
@@ -358,7 +359,7 @@ def dispersive_zero_pattern(model: TwoQubitModel) -> float:
     the three ``Mc[j]`` of the affine split, which bounds the block of
     ``M(u)`` for every ``u`` at once.
     """
-    m0, mc = control_generators(model)
+    m0, mc, _ = _split(model)
     stack = np.concatenate([m0[None], mc])
     return float(np.max(np.abs(stack[:, _Z2_INDICES[:, None], _NON_Z2_COLUMNS])))
 
@@ -570,7 +571,7 @@ def axis1_escape_report(model: TwoQubitModel, seed: int = 0) -> dict:
     require_coupling(model, Coupling("sigma3-sigma1", model.lam[2, 0]))
     rng = np.random.default_rng(seed)
     vas, _ = random_factorized_states(rng, _AXIS1_STATES)
-    m0, mc = control_generators(model)
+    m0, mc, _ = _split(model)
     if np.any(mc[:, VB]):
         raise AssertionError("control generators reach the vB rows (or are not finite)")
     poles = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
@@ -605,7 +606,7 @@ def protected_run(
     require_coupling(model, coupling)
     law = protecting_law(model, va3)
     vb0 = np.asarray(vb0, dtype=float).reshape(3)
-    if abs(vb0 @ vb0 - 0.25) > 1e-10:
+    if not abs(vb0 @ vb0 - 0.25) <= 1e-10:
         raise ValueError(f"|vB|^2 must be 1/4, got {vb0 @ vb0:.12f}")
     traj = integrate(model, embed_factorized([0.0, 0.0, va3], vb0), law, horizon, step)
     rot = reduced_b_generator(coupling, va3, model.omega_b)

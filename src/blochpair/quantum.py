@@ -2,7 +2,7 @@
 
 Pauli matrices, density-matrix validation and the GKSL generator.
 Matrices on the composite system are indexed with the first-qubit index
-varying slowest, so ``tensor(a, b)`` equals ``np.kron(a, b)``.
+varying slowest, the order of ``np.kron(a, b)``.
 """
 
 from __future__ import annotations
@@ -36,22 +36,6 @@ def pauli(i: int) -> np.ndarray:
     if i not in (1, 2, 3):
         raise ValueError(f"Pauli index must be 1, 2 or 3, got {i!r}")
     return _SIGMA[i - 1].copy()
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor's index varying slowest.
-
-    The outer product with its axes interleaved, the fewer axes padded in
-    front as ``np.kron`` pads them: each entry is one product, so values
-    and dtype equal ``np.kron(a, b)``, without its per-call overhead.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    nd = max(a.ndim, b.ndim)
-    a = a.reshape((1,) * (nd - a.ndim) + a.shape)
-    b = b.reshape((1,) * (nd - b.ndim) + b.shape)
-    interleaved = [k for i in range(nd) for k in (i, nd + i)]
-    shape = [p * q for p, q in zip(a.shape, b.shape)]
-    return np.multiply.outer(a, b).transpose(interleaved).reshape(shape)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -1,8 +1,8 @@
 """Independent density-matrix oracles the tests check the package against.
 
 They work on 4x4 matrices, with the first-qubit index varying slowest
-as in ``blochpair.quantum.tensor``, so the two partial traces are the
-unique linear maps with ``partial_trace_a(tensor(m, n)) == n * trace(m)``
+as in ``np.kron``, so the two partial traces are the unique linear
+maps with ``partial_trace_a(np.kron(m, n)) == n * trace(m)``
 (and symmetrically for ``partial_trace_b``).  ``physicality_defect``
 is the one oracle on coherence vectors: the gate's formula written out
 as three stack-sized terms.  ``drift_rows`` is the obstruction sweep's

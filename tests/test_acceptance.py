@@ -36,7 +36,7 @@ from blochpair.protection import (
     resonant_obstruction_report,
     transcription_report,
 )
-from blochpair.quantum import SIGMA_MINUS, pauli, tensor
+from blochpair.quantum import SIGMA_MINUS, pauli
 from conftest import random_density_matrix, random_model, random_pure_state
 from oracles import partial_trace_a, purity
 
@@ -93,7 +93,7 @@ def test_criterion_03_factorization_characterizes_pure_b():
     worst_residual = 0.0
     worst_norm = 0.0
     for _ in range(500):
-        rho = tensor(random_density_matrix(rng, 2), random_pure_state(rng, 2))
+        rho = np.kron(random_density_matrix(rng, 2), random_pure_state(rng, 2))
         v = to_coherence(rho)
         worst_residual = max(worst_residual, factorization_residual(v))
         vb = v[VB]

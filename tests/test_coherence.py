@@ -16,7 +16,6 @@ from blochpair.coherence import (
     to_coherence,
 )
 from blochpair.dynamics import Trajectory
-from blochpair.quantum import tensor
 from conftest import random_density_matrix, random_pure_state
 import oracles
 from oracles import IDENTITY_4, ab_slot, partial_trace_a, partial_trace_b, purity
@@ -93,7 +92,7 @@ def test_reduced_purity_extremes():
 
 def test_factorization_residual_product_states(rng):
     for _ in range(50):
-        rho = tensor(random_density_matrix(rng, 2), random_pure_state(rng, 2))
+        rho = np.kron(random_density_matrix(rng, 2), random_pure_state(rng, 2))
         v = to_coherence(rho)
         assert factorization_residual(v) < 1e-12
         assert abs(v[VB] @ v[VB] - 0.25) < 1e-12
@@ -113,7 +112,7 @@ def test_near_pure_reduced_states_are_near_factorized(rng):
     # mix a product-with-pure-B state with noise scaled so that the
     # reduced purity stays within 1e-9 of one
     for _ in range(10):
-        base = tensor(random_density_matrix(rng, 2), random_pure_state(rng, 2))
+        base = np.kron(random_density_matrix(rng, 2), random_pure_state(rng, 2))
         noise = random_density_matrix(rng, 4)
         vb0 = to_coherence(base)[VB]
         delta = to_coherence(noise)[VB] - vb0

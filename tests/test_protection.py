@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from blochpair import protection
+from blochpair import dynamics, protection
 from blochpair.coherence import embed_factorized, factorization_residual
 from blochpair.dynamics import ControlLaw, integrate
 from blochpair.generator import control_generators, dissipator_blocks, generator, t_matrices
@@ -200,14 +200,34 @@ def test_control_generators_leave_b_pinned_block_and_drift_exactly_zero(rng):
 
 def test_reports_see_a_control_that_reaches_b(monkeypatch):
     def leaky(model):
-        m0, mc = control_generators(model)
+        m0, mc, model_hash = dynamics._split(model)
+        mc = mc.copy()
         mc[1, 14, 2] = 1e-3  # vB2 row, vA2 column: pinned against the rest
-        return m0, mc
+        return m0, mc, model_hash
 
-    monkeypatch.setattr(protection, "control_generators", leaky)
+    monkeypatch.setattr(protection, "_split", leaky)
     with pytest.raises(AssertionError, match="vB rows"):
         axis1_escape_report(compatible_sigma31_model())
     assert dispersive_zero_pattern(make_model(Coupling("dispersive", 0.8))) == 1e-3
+
+
+def test_reports_and_integrate_build_the_split_once_per_model(monkeypatch):
+    builds = []
+
+    def counted(model):
+        builds.append(model)
+        return control_generators(model)
+
+    dynamics._split.cache_clear()
+    monkeypatch.setattr(dynamics, "control_generators", counted)
+    monkeypatch.setattr(protection, "control_generators", counted, raising=False)
+    model = compatible_sigma31_model()
+    dispersive_zero_pattern(model)
+    axis1_escape_report(model)
+    axis1_escape_report(model, seed=1)
+    start = embed_factorized([0.0, 0.0, -0.5], [0.0, 0.0, 0.5])
+    integrate(model, start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
+    assert builds == [model]
 
 
 # -- dispersive invariant submanifold ----------------------------------------
@@ -293,6 +313,20 @@ def test_protecting_control_values():
     u1, u2 = protecting_control(model, -0.5)
     assert u1 == pytest.approx(y, abs=1e-12)
     assert u2 == pytest.approx(x, abs=1e-12)
+
+
+@pytest.mark.parametrize("va3", [np.nan, np.inf, -np.inf])
+def test_protecting_control_rejects_non_finite_va3(va3):
+    model = make_model(Coupling("sigma3-sigma1", 1.0), jumps=(SIGMA_MINUS,))
+    with pytest.raises(ValueError, match=r"va3 must be \+/- 1/2"):
+        protecting_control(model, va3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_protected_run_rejects_non_finite_vb0(bad):
+    model = compatible_sigma31_model()
+    with pytest.raises(ValueError, match=r"\|vB\|\^2 must be 1/4"):
+        protected_run(model, Coupling("sigma3-sigma1", 0.9), -0.5, [bad, 0.0, 0.5], 0.01, 1e-3)
 
 
 def test_protecting_control_rejects_incompatible():

@@ -10,7 +10,6 @@ from blochpair.quantum import (
     SIGMA_MINUS,
     hermiticity_defect,
     pauli,
-    tensor,
     validate_density_matrix,
 )
 from conftest import random_density_matrix, random_pure_state
@@ -45,41 +44,22 @@ def test_pauli_rejects_bad_index(i):
 
 
 def test_tensor_identities():
-    assert np.array_equal(tensor(IDENTITY_2, IDENTITY_2), IDENTITY_4)
+    assert np.array_equal(np.kron(IDENTITY_2, IDENTITY_2), IDENTITY_4)
     assert np.array_equal(
-        np.diag(tensor(pauli(3), pauli(3))), np.array([1, -1, -1, 1], dtype=complex)
+        np.diag(np.kron(pauli(3), pauli(3))), np.array([1, -1, -1, 1], dtype=complex)
     )
-
-
-@pytest.mark.parametrize(
-    "shape_a, shape_b",
-    [((3,), (4,)), ((2, 2), (2, 2)), ((3, 3), (1, 3)), ((1, 3), (3, 3)), ((3, 1), (3, 3)),
-     ((3, 3), (3,)), ((2,), (2, 3)), ((2, 3, 2), (3, 2)), ((), (2, 2))],
-)
-def test_tensor_is_np_kron(shape_a, shape_b, rng):
-    def draw(shape, kind):
-        if kind == "int":
-            return rng.integers(-5, 5, size=shape)
-        x = rng.normal(size=shape)
-        return x + 1j * rng.normal(size=shape) if kind == "complex" else x
-
-    for kind_a, kind_b in [("real", "real"), ("real", "complex"), ("complex", "complex"), ("int", "real")]:
-        a, b = draw(shape_a, kind_a), draw(shape_b, kind_b)
-        got, want = tensor(a, b), np.kron(a, b)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
 
 
 def test_tensor_trace_multiplicative(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.trace(tensor(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
+    assert np.trace(np.kron(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
 
 
 def test_partial_trace_on_products(rng):
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
-    composite = tensor(rho_a, rho_b)
+    composite = np.kron(rho_a, rho_b)
     np.testing.assert_allclose(partial_trace_a(composite), rho_b, atol=1e-14)
     np.testing.assert_allclose(partial_trace_b(composite), rho_a, atol=1e-14)
 
@@ -119,7 +99,7 @@ def test_pure_iff_projector(rng):
 def test_density_matrix_validation(rng):
     rho = random_density_matrix(rng)
     assert is_density_matrix(rho)
-    assert not is_density_matrix(rho + 0.1 * tensor(pauli(1), IDENTITY_2) * 1j)
+    assert not is_density_matrix(rho + 0.1 * np.kron(pauli(1), IDENTITY_2) * 1j)
     assert not is_density_matrix(2.0 * rho)
     # a small negative eigenvalue within the floor is tolerated
     eigvals, eigvecs = np.linalg.eigh(rho)
@@ -144,7 +124,7 @@ def test_gksl_rejects_non_hermitian(rng):
 
 def test_gksl_damping_decreases_purity():
     # ground-state projector under a lowering jump: purity must decay
-    rhs = gksl_rhs(KET00, np.zeros((4, 4)), [tensor(SIGMA_MINUS, IDENTITY_2)])
+    rhs = gksl_rhs(KET00, np.zeros((4, 4)), [np.kron(SIGMA_MINUS, IDENTITY_2)])
     rate = 2.0 * np.trace(KET00 @ rhs).real
     assert rate == pytest.approx(-8.0, abs=1e-12)
 
@@ -175,7 +155,7 @@ def test_gksl_invariant_under_identity_shift(entries, shift):
     np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 
-SIGMA_MINUS_FULL = tensor(SIGMA_MINUS, IDENTITY_2)
+SIGMA_MINUS_FULL = np.kron(SIGMA_MINUS, IDENTITY_2)
 
 
 def test_validate_reports_reason():
