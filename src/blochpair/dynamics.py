@@ -7,11 +7,11 @@ once and fills its states by a 16-ary power tree: ``R^1 ... R^16`` by
 repeated doubling, then one matrix product of the block starts by these
 powers for all its 16-step blocks; the block starts are the orbit of
 ``R^16``, filled by the same recursion and kept as the block ends.  A
-sampled law builds the maps of ``B`` steps at a time as one stack.
-State-feedback laws keep stage evaluation, as the law must see each
-stage state; ``ControlLaw`` checks the bound at every stage call.  All
-three form ``M(u) = M0 + sum_j u_j Mc_j`` with one matmul on the
-control split; the feedback path writes it into one reused 16x16 buffer.
+sampled law builds ``B`` maps as one stack in one workspace per call,
+filled in place by ``_rk4_map``, and steps by ``np.dot`` into the state
+rows.  State-feedback laws keep stage evaluation; a feedback law builds
+its bound-checked stage once, for ``law(t, v)`` and ``integrate`` alike.
+All three form ``M(u) = M0 + sum_j u_j Mc_j`` with one matmul on the split.
 
 Trajectories record every step, read-only, and compute each state's
 ``|v|^2``, ``|vA|^2`` and ``|vB|^2`` once; the physicality gate, the
@@ -102,6 +102,14 @@ class ControlLaw:
         if self.kind == "state-feedback":
             if not callable(self.callback):
                 raise ValueError("a state-feedback law needs a callable callback")
+            callback, b = self.callback, np.inf if self.bound is None else self.bound + 1e-12
+
+            def stage(t, v):  # the one bound-checked stage; ``__call__`` and ``integrate`` call it
+                u = np.asarray(callback(t, v), dtype=float).reshape(3)
+                x, y, z = u.tolist()  # three float tests cost less than ``abs(u).max()``; a NaN fails them
+                return u if abs(x) <= b and abs(y) <= b and abs(z) <= b else self._check_bound(u)
+
+            object.__setattr__(self, "_stage", stage)
             return
         if self.kind not in ("piecewise-constant", "sampled"):
             raise ValueError(f"unknown control-law kind {self.kind!r}")
@@ -153,10 +161,7 @@ class ControlLaw:
         if self.kind == "sampled":  # t may also be an array of times
             u = [np.interp(t, self.times, self.values[:, i]) for i in range(3)]
             return self._check_bound(np.stack(u, axis=-1))
-        u = np.asarray(self.callback(t, v), dtype=float).reshape(3)
-        x, y, z = u.tolist()  # three float tests cost less than ``abs(u).max()``; a NaN fails them
-        b = np.inf if self.bound is None else self.bound + 1e-12
-        return u if abs(x) <= b and abs(y) <= b and abs(z) <= b else self._check_bound(u)
+        return self._stage(t, v)
 
     def describe(self) -> dict:
         info = {"kind": self.kind}
@@ -199,13 +204,17 @@ class Trajectory:
         return _purity_of(self.norms[2])
 
 
-def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 map ``R`` from the generators at t, t + h/2 and t + h; single or stacked."""
+def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float, work=None) -> np.ndarray:
+    """One-step RK4 map ``R`` from the generators at t, t + h/2 and t + h; single or stacked.  Built
+    in place in ``work`` (three arrays shaped like ``m1``; fresh if None), returned as ``work[0]``."""
     eye = np.eye(m1.shape[-1])
-    a2 = m2 @ (eye + 0.5 * h * m1)
-    a3 = m2 @ (eye + 0.5 * h * a2)
-    a4 = m4 @ (eye + h * a3)
-    return eye + (h / 6.0) * (m1 + 2.0 * a2 + 2.0 * a3 + a4)
+    r, x, a = np.empty((3,) + m1.shape) if work is None else work
+    np.copyto(r, m1)
+    for prev, c, m, w in ((m1, 0.5 * h, m2, 2.0), (a, 0.5 * h, m2, 2.0), (a, h, m4, 1.0)):
+        np.add(np.multiply(prev, c, out=x), eye, out=x)  # I + c prev
+        np.matmul(m, x, out=a)  # a2 = m2 (I + h/2 m1), a3 = m2 (I + h/2 a2), a4 = m4 (I + h a3)
+        r += np.multiply(a, w, out=x)  # m1 + 2 a2 + 2 a3 + a4, summed in that order
+    return np.add(np.multiply(r, h / 6.0, out=r), eye, out=r)
 
 
 @functools.lru_cache(maxsize=4)
@@ -310,11 +319,7 @@ def integrate(
 
     start = _checked_start(_as_flat(v0).tobytes())
     m0, mc, model_hash = _split(model)
-    mc_rows = mc.reshape(3, -1)
-
-    def generator_at(u):  # M0 + sum_j u_j Mc_j, for one control or a stack of them
-        return m0 + (u @ mc_rows).reshape(u.shape[:-1] + (16, 16))
-
+    mc_rows = mc.reshape(3, -1)  # M(u) = M0 + sum_j u_j Mc_j is m0 + u @ mc_rows, reshaped
     states = np.empty((n_steps + 1, 16))
     controls = np.empty((n_steps + 1, 3))
     states[0] = start
@@ -325,39 +330,45 @@ def integrate(
         if len(segments) < len(law.times):  # segments that snap to no step of the grid
             law_info["dropped_segments"] = len(law.times) - len(segments)
         for seg_start, seg_stop, u in segments:
-            m = generator_at(u)
+            m = m0 + (u @ mc_rows).reshape(16, 16)
             _orbit(_rk4_map(m, m, m, step), states[seg_start], states[seg_start + 1 : seg_stop + 1])
             for j in range(3):  # a column at a time costs less than broadcasting the row
                 controls[seg_start:seg_stop, j] = u[j]
         controls[n_steps] = controls[n_steps - 1]
     elif law.kind == "sampled":
+        work = np.empty((6, min(_BLOCK, n_steps), 256))  # one block's generators, then the map's work
         for k0 in range(0, n_steps, _BLOCK):
             t = times[k0 : min(k0 + _BLOCK, n_steps)]
-            u = law(np.stack([t, t + 0.5 * step, t + step], axis=1))
-            m = generator_at(u.transpose(1, 0, 2))
-            controls[k0 : k0 + len(t)] = u[:, 0]
-            for k, r in enumerate(_rk4_map(m[0], m[1], m[2], step), start=k0):
-                states[k + 1] = r @ states[k]
+            u = law(np.stack([t, t + 0.5 * step, t + step]))  # (3, len(t), 3): stage, step, channel
+            controls[k0 : k0 + len(t)] = u[0]
+            m = np.matmul(u, mc_rows, out=work[:3, : len(t)]).reshape(3, len(t), 16, 16)
+            m += m0
+            maps = _rk4_map(*m, step, work[3:, : len(t)].reshape(3, len(t), 16, 16))
+            for k, r in enumerate(maps, start=k0):
+                np.dot(r, states[k], out=states[k + 1])
         controls[n_steps] = law(times[n_steps])
     else:  # state-feedback
         buf = np.empty(256)  # M(u), assembled in place at every stage
         m = buf.reshape(16, 16)
+        slopes = np.empty((4, 16))
+        k1, k2, k3, k4 = slopes  # row views, written in place
 
-        def rhs(t, y):
-            u = law(t, y)
+        def rhs(t, y, out):
+            u = law._stage(t, y)
             np.dot(u, mc_rows, out=buf)
             np.add(m0, m, out=m)
-            return m @ y, u
+            np.dot(m, y, out=out)
+            return u
 
-        half, sixth = 0.5 * step, step / 6.0
+        half, sixth, weights = 0.5 * step, step / 6.0, np.array([[1.0], [2.0], [2.0], [1.0]])
         for k, t in enumerate(times[:-1].tolist()):
             v = states[k]
-            k1, controls[k] = rhs(t, v)
-            k2, _ = rhs(t + half, v + half * k1)
-            k3, _ = rhs(t + half, v + half * k2)
-            k4, _ = rhs(t + step, v + step * k3)
-            states[k + 1] = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        controls[n_steps] = law(times[n_steps], states[n_steps])
+            controls[k] = rhs(t, v, k1)
+            rhs(t + half, v + half * k1, k2)
+            rhs(t + half, v + half * k2, k3)
+            rhs(t + step, v + step * k3, k4)
+            states[k + 1] = v + sixth * np.add.reduce(slopes * weights, axis=0)  # k1 + 2 k2 + 2 k3 + k4
+        controls[n_steps] = law._stage(times[n_steps], states[n_steps])
 
     times.flags.writeable = states.flags.writeable = controls.flags.writeable = False
     metadata = {

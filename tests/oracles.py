@@ -9,7 +9,10 @@ as three stack-sized terms.  ``drift_rows`` is the obstruction sweep's
 row reduction taken node by node, ``random_control_laws`` builds
 the scan's laws with ``np.unique``, and ``rk4_feedback_reference`` is
 the state-feedback stage loop with a fresh generator per stage.
-Nothing in the package calls them.
+``rk4_map_reference`` is the RK4 one-step map as one expression on
+fresh arrays, and ``rk4_sampled_reference`` the sampled law's block
+loop built on it: a ``(B, 3)`` time stack, a transposed generator
+stack, fresh maps and ``v = r @ v``.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -133,6 +136,37 @@ def rk4_feedback_reference(model, v0, callback, n_steps: int, step: float):
         k4, _ = rhs(t + step, v + step * k3)
         states[k + 1] = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     controls[n_steps] = law(times[n_steps], states[n_steps])
+    return states, controls
+
+
+def rk4_map_reference(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float) -> np.ndarray:
+    """One-step RK4 map from the generators at t, t + h/2 and t + h as one expression; single or stacked."""
+    eye = np.eye(m1.shape[-1])
+    a2 = m2 @ (eye + 0.5 * h * m1)
+    a3 = m2 @ (eye + 0.5 * h * a2)
+    a4 = m4 @ (eye + h * a3)
+    return eye + (h / 6.0) * (m1 + 2.0 * a2 + 2.0 * a3 + a4)
+
+
+def rk4_sampled_reference(model, v0, law, n_steps: int, step: float, block: int):
+    """States and controls of ``n_steps`` RK4 steps under the sampled ``law``, ``block`` steps
+    at a time: the ``(block, 3)`` time stack, the transposed generator stack, fresh maps from
+    :func:`rk4_map_reference`, then ``v = r @ v``; no physicality check."""
+    m0, mc = control_generators(model)
+    mc_rows = mc.reshape(3, -1)
+    times = np.arange(n_steps + 1) * step
+    states = np.empty((n_steps + 1, 16))
+    controls = np.empty((n_steps + 1, 3))
+    states[0] = v0
+    for k0 in range(0, n_steps, block):
+        t = times[k0 : min(k0 + block, n_steps)]
+        u = law(np.stack([t, t + 0.5 * step, t + step], axis=1))  # (len(t), stage, channel)
+        stages = u.transpose(1, 0, 2)
+        m = m0 + (stages @ mc_rows).reshape(stages.shape[:-1] + (16, 16))
+        controls[k0 : k0 + len(t)] = u[:, 0]
+        for k, r in enumerate(rk4_map_reference(m[0], m[1], m[2], step), start=k0):
+            states[k + 1] = r @ states[k]
+    controls[n_steps] = law(times[n_steps])
     return states, controls
 
 

@@ -36,7 +36,7 @@ from blochpair.quantum import SIGMA_MINUS, validate_density_matrix
 from conftest import random_density_matrix, random_jump, random_model
 import oracles
 from oracles import random_control_laws as unique_control_laws
-from oracles import rk4_feedback_reference
+from oracles import rk4_feedback_reference, rk4_map_reference, rk4_sampled_reference
 
 MIXED16 = np.concatenate([[0.5], np.zeros(15)])
 
@@ -135,7 +135,8 @@ def test_feedback_nan_control_violates_bound():
 @pytest.mark.parametrize("bad", [5.0, math.nan], ids=["over", "nan"])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_feedback_bound_checked_at_every_stage(bad, axis):
-    # on the grid t = k/4 the law is in bound; only the midpoint stages at t + h/2 break it
+    # on the grid t = k/4 the law is in bound; only the midpoint stages at t + h/2 break it.
+    # ``law(t, v)`` and ``integrate`` call the law's one stage check, so they raise the same error
     def callback(t, v):
         u = np.zeros(3)
         if t == 0.375:
@@ -143,14 +144,21 @@ def test_feedback_bound_checked_at_every_stage(bad, axis):
         return u
 
     law = ControlLaw.feedback(callback, bound=1.0)
-    with pytest.raises(ValueError, match=f"control value {bad:.6g} exceeds declared bound 1"):
+    np.testing.assert_array_equal(law(0.25, MIXED16), np.zeros(3))
+    with pytest.raises(ValueError) as via_call:
+        law(0.375, MIXED16)
+    with pytest.raises(ValueError) as via_integrate:
         integrate(closed_model(), MIXED16, law, 1.0, 0.25)
+    assert str(via_call.value) == str(via_integrate.value) == f"control value {bad:.6g} exceeds declared bound 1"
 
 
 def test_feedback_without_bound_is_not_refused():
     law = ControlLaw.feedback(lambda t, v: [5.0, 0.0, 0.0], bound=None)
+    np.testing.assert_array_equal(law(0.0, MIXED16), [5.0, 0.0, 0.0])
     traj = integrate(closed_model(), MIXED16, law, 1.0, 1e-2)
     assert np.all(traj.controls == [5.0, 0.0, 0.0])
+    # with no bound a NaN passes the stage; the physicality gate refuses its run (test_non_finite_states_abort)
+    assert np.isnan(ControlLaw.feedback(lambda t, v: [math.nan, 0.0, 0.0])(0.0, MIXED16)[0])
 
 
 def test_feedback_matches_stage_loop_reference_bit_for_bit(rng):
@@ -170,6 +178,35 @@ def test_feedback_matches_stage_loop_reference_bit_for_bit(rng):
     assert np.any(np.abs(controls) == 1.0) and np.any(np.abs(controls) < 1.0)  # both sides of the clip
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.controls, controls)
+
+
+@pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7], ids=["1", "B-1", "B", "B+1", "3B+7"])
+@pytest.mark.parametrize("last_sample", ["at-horizon", "before-horizon"])
+def test_sampled_matches_block_loop_reference_bit_for_bit(rng, n_steps, last_sample):
+    step = 1e-3
+    model = random_model(rng)
+    end = n_steps * step if last_sample == "at-horizon" else 0.4 * n_steps * step  # the run holds the last sample
+    law = ControlLaw.sampled(np.linspace(0.0, end, 9), rng.uniform(-1, 1, (9, 3)), bound=1.0)
+    v0 = to_coherence(random_density_matrix(rng))
+    traj = integrate(model, v0, law, n_steps * step, step)
+    states, controls = rk4_sampled_reference(model, v0, law, n_steps, step, _BLOCK)
+    assert len(traj) == n_steps + 1
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.controls, controls)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (_BLOCK,)], ids=["single", "stack-1", "stack-7", "stack-B"])
+def test_rk4_map_matches_formula_bit_for_bit(rng, shape):
+    # random matrices, and generator stacks with the split's structural zeros
+    m0, mc = control_generators(random_model(rng))
+    u = rng.uniform(-1, 1, (3,) + shape + (3,))
+    for m1, m2, m4 in (rng.normal(size=(3,) + shape + (16, 16)), m0 + np.einsum("...j,jkl->...kl", u, mc)):
+        for h in (1e-3, 0.25):
+            expected = rk4_map_reference(m1, m2, m4, h)
+            assert _rk4_map(m1, m2, m4, h).tobytes() == expected.tobytes()
+            assert _rk4_map(m1, m1, m1, h).tobytes() == rk4_map_reference(m1, m1, m1, h).tobytes()
+            work = np.full((3,) + m1.shape, np.nan)
+            assert _rk4_map(m1, m2, m4, h, work).tobytes() == work[0].tobytes() == expected.tobytes()
 
 
 def test_c0_exactly_constant(rng):
