@@ -16,8 +16,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-invariant
 failure.  Errors are reported as one-line JSON documents on stderr.
 A missing, unreadable or malformed model or control file and an output
 path in a missing directory are configuration errors naming the path.
-The environment variable ``BLOCHPAIR_OUT`` sets the default output
-directory.
+Each command writes one file, to ``--out`` or else under ``$BLOCHPAIR_OUT``
+(``.`` when unset), then prints a one-line JSON summary led by ``"out"``.
 """
 
 from __future__ import annotations
@@ -83,9 +83,12 @@ def _emit_error(code: int, message: str, detail: dict | None = None) -> int:
     return code
 
 
-def _default_out(name: str) -> str:
-    base = os.environ.get("BLOCHPAIR_OUT", ".")
-    return os.path.join(base, name)
+def _write_out(args, name: str, write, **summary) -> int:
+    """Write with ``write(path)`` to ``--out`` or ``name`` under ``$BLOCHPAIR_OUT``, then print the summary."""
+    out = args.out or os.path.join(os.environ.get("BLOCHPAIR_OUT", "."), name)
+    write(out)
+    print(json.dumps({"out": out, **summary}))
+    return EXIT_OK
 
 
 def _parse_triple(text: str, flag: str) -> np.ndarray:
@@ -155,24 +158,18 @@ def _cmd_simulate(args) -> int:
         v0 = _initial_state(args.v0)
     traj = integrate(model, v0, law, args.horizon, args.step)
     traj.metadata["seed"] = args.seed
-    out = args.out or _default_out(f"trajectory.{args.format}")
-    if args.format == "csv":
-        write_trajectory_csv(traj, out)
-    else:
-        write_trajectory_json(traj, out)
-    summary = {
-        "out": out,
-        "format": args.format,
-        "steps": len(traj) - 1,
-        "final_purity_full": float(traj.purity_full[-1]),
-        "final_purity_A": float(traj.purity_a[-1]),
-        "final_purity_B": float(traj.purity_b[-1]),
-        "min_purity_B": float(traj.purity_b.min()),
-        "max_purity_B": float(traj.purity_b.max()),
-        "model_hash": traj.metadata["model_hash"],
-    }
-    print(json.dumps(summary))
-    return EXIT_OK
+    write = write_trajectory_csv if args.format == "csv" else write_trajectory_json
+    return _write_out(
+        args, f"trajectory.{args.format}", lambda out: write(traj, out),
+        format=args.format,
+        steps=len(traj) - 1,
+        final_purity_full=float(traj.purity_full[-1]),
+        final_purity_A=float(traj.purity_a[-1]),
+        final_purity_B=float(traj.purity_b[-1]),
+        min_purity_B=float(traj.purity_b.min()),
+        max_purity_B=float(traj.purity_b.max()),
+        model_hash=traj.metadata["model_hash"],
+    )
 
 
 def _cmd_analyze_w(args) -> int:
@@ -208,10 +205,8 @@ def _cmd_analyze_w(args) -> int:
             EXIT_NUMERICAL,
             f"transcription residual {worst:.3e} is not within {ORACLE_RESIDUAL_LIMIT:.1e}",
         )
-    out = args.out or _default_out("w_report.json")
-    atomic_write_text(out, json.dumps(report, indent=2) + "\n")
-    print(json.dumps({"out": out, "max_residual": worst}))
-    return EXIT_OK
+    text = json.dumps(report, indent=2) + "\n"
+    return _write_out(args, "w_report.json", lambda out: atomic_write_text(out, text), max_residual=worst)
 
 
 def _cmd_purification_scan(args) -> int:
@@ -225,10 +220,9 @@ def _cmd_purification_scan(args) -> int:
     report["seed"] = args.seed
     report["bound"] = args.bound
     report["model_hash"] = model.hash_hex()
-    out = args.out or _default_out("purification_scan.json")
-    atomic_write_text(out, json.dumps(report, indent=2) + "\n")
-    print(json.dumps({"out": out, "min_margin": report["min_margin"]}))
-    return EXIT_OK
+    text = json.dumps(report, indent=2) + "\n"
+    return _write_out(args, "purification_scan.json", lambda out: atomic_write_text(out, text),
+                      min_margin=report["min_margin"])
 
 
 def _build_parser() -> _Parser:

@@ -76,18 +76,18 @@ class ControlLaw:
     """Control signal ``u(t)`` or ``u(t, v)`` for the three channels.
 
     kind is one of ``"piecewise-constant"``, ``"sampled"`` or
-    ``"state-feedback"``.  Piecewise-constant laws hold ``values[k]`` on
-    ``[times[k], times[k+1])`` with breakpoints snapped to the step
-    grid; sampled laws interpolate linearly between samples and hold the
-    first and last sample outside them, so a run past the last sample
-    time keeps its last value; state-feedback laws call
-    ``callback(t, v)`` with the current 16-component coherence vector.
-    Every constructor checks the law as it is built: the kind, a
-    callable feedback ``callback``, one finite triple per finite,
-    strictly increasing time, ``times[0] == 0`` (piecewise-constant),
-    two samples or more (sampled), and a finite ``bound >= 0`` met by
-    the given values (kept as read-only copies); interpolated and
-    feedback values are held to it as a run computes them.
+    ``"state-feedback"``, and a law takes only its kind's fields.
+    Piecewise-constant laws hold ``values[k]`` on ``[times[k], times[k+1])``
+    with breakpoints snapped to the step grid, and drop those past the
+    horizon however far; sampled laws interpolate linearly between samples
+    and hold the first and last sample outside them; state-feedback laws
+    call ``callback(t, v)`` with the current 16-component coherence vector.
+    Every constructor checks the law as it is built: the kind and its
+    fields, a callable ``callback``, one finite triple per finite, strictly
+    increasing time, ``times[0] == 0`` (piecewise-constant), two samples or
+    more (sampled), and a finite ``bound >= 0`` met by the given values
+    (kept as read-only copies).  During a run only feedback values are
+    checked, at every stage; an interpolation stays in its samples' box.
     """
 
     kind: str
@@ -100,6 +100,8 @@ class ControlLaw:
         if self.bound is not None and not (np.isfinite(self.bound) and self.bound >= 0):
             raise ValueError(f"control bound must be finite and >= 0, got {self.bound}")
         if self.kind == "state-feedback":
+            if self.times is not None or self.values is not None:
+                raise ValueError("a state-feedback law takes no times or values")
             if not callable(self.callback):
                 raise ValueError("a state-feedback law needs a callable callback")
             callback, b = self.callback, np.inf if self.bound is None else self.bound + 1e-12
@@ -113,6 +115,8 @@ class ControlLaw:
             return
         if self.kind not in ("piecewise-constant", "sampled"):
             raise ValueError(f"unknown control-law kind {self.kind!r}")
+        if self.callback is not None:
+            raise ValueError(f"a {self.kind} law takes no callback")
         times = np.array(self.times, dtype=float).reshape(-1)  # own copies, read-only below
         values = np.array(self.values, dtype=float).reshape(-1, 3)
         if times.shape[0] != values.shape[0] or times.shape[0] == 0:
@@ -159,8 +163,7 @@ class ControlLaw:
             k = int(np.searchsorted(self.times, t, side="right") - 1)
             return self.values[max(k, 0)]
         if self.kind == "sampled":  # t may also be an array of times
-            u = [np.interp(t, self.times, self.values[:, i]) for i in range(3)]
-            return self._check_bound(np.stack(u, axis=-1))
+            return np.stack([np.interp(t, self.times, self.values[:, i]) for i in range(3)], axis=-1)
         return self._stage(t, v)
 
     def describe(self) -> dict:
@@ -238,8 +241,8 @@ def _checked_start(raw: bytes) -> np.ndarray:
 
 
 def _segment_bounds(law: ControlLaw, n_steps: int, step: float) -> list[tuple[int, int, np.ndarray]]:
-    """Breakpoints snapped to the step grid; (start, stop, value) triples."""
-    idx = np.clip(np.round(law.times / step).astype(int), 0, n_steps)
+    """Breakpoints snapped to the step grid, clipped before the int cast; (start, stop, value) triples."""
+    idx = np.round(np.clip(law.times / step, 0, n_steps)).astype(int)
     stops = np.append(idx[1:], n_steps)
     return [(int(a), int(b), u) for a, b, u in zip(idx, stops, law.values) if b > a]
 
@@ -292,7 +295,7 @@ def integrate(
         If the start state passes the norm gate but not
         :func:`~blochpair.quantum.validate_density_matrix` (a trace other
         than one, ``c0 != 1/2``, or a negative eigenvalue; checked once),
-        or a control computed during the run breaks the law's bound.
+        or a feedback control computed during the run breaks the law's bound.
     PhysicalityError
         If the start or any recorded state violates the norm constraints
         by more than :data:`ABORT_TOL`, or is not finite.  The worst

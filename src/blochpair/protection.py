@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import VA, VAB, VB, embed_factorized
+from .coherence import VA, VAB, VB, _square_norm, embed_factorized
 from .dynamics import ControlLaw, Trajectory, _split, integrate
 from .generator import dissipator_blocks, generator, t_matrices
 from .model import TwoQubitModel
@@ -342,11 +342,10 @@ def reduced_b_generator(coupling: Coupling, va3: float, omega_b: float) -> np.nd
 
 # -- dispersive invariant submanifold -----------------------------------------
 
-# Flat indices of the coordinates that must stay zero when B is pinned
-# at a sigma_3 pole: all vAB slots with second subscript 1 or 2, plus
-# vB1 and vB2.
-_Z2_INDICES = np.array([4, 5, 7, 8, 10, 11, 13, 14])
-_NON_Z2_COLUMNS = np.array([c for c in range(16) if c not in set(_Z2_INDICES.tolist())])
+# Flat indices that stay zero while B sits at a sigma_3 pole: the vAB and vB slots c whose B index,
+# (c - VAB.start) % 3 + 1 in both blocks, is 1 or 2
+_Z2_INDICES = np.array([c for c in range(VAB.start, VB.stop) if (c - VAB.start) % 3 < 2])
+_NON_Z2_COLUMNS = np.array([c for c in range(16) if c not in _Z2_INDICES])
 
 
 def dispersive_zero_pattern(model: TwoQubitModel) -> float:
@@ -497,7 +496,7 @@ def resonant_obstruction_report(
     axis = np.arange(-0.5, 0.5 + grid_step / 2.0, grid_step)
     ga, gb, gc = np.meshgrid(axis, axis, axis, indexing="ij")
     va_grid = np.column_stack([ga.ravel(), gb.ravel(), gc.ravel()])
-    va_grid = va_grid[np.einsum("ij,ij->i", va_grid, va_grid) <= 0.25 + 1e-12]
+    va_grid = va_grid[_square_norm(va_grid) <= 0.25 + 1e-12]
     if len(va_grid) == 0:
         raise ValueError(f"grid_step {grid_step} puts no vA grid point in the ball |vA| <= 1/2")
 
@@ -526,7 +525,7 @@ def resonant_obstruction_report(
     vbs = np.concatenate([vb_grid[first_zero[: len(va_grid)]], vb_rand])
 
     # ties go to the first row, in the order above, and its first zero
-    va_norm = np.sqrt(np.einsum("ij,ij->i", vas, vas))
+    va_norm = np.sqrt(_square_norm(vas))
     hit = np.flatnonzero(n_zero)
     worst = hit[np.argmin(va_norm[hit])] if hit.size else None
     off_sphere = va_norm < 0.5 - 1e-6

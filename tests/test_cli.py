@@ -880,12 +880,23 @@ def test_cli_entry_point_subprocess(damping_model_path, tmp_path):
     assert json.loads(result.stdout)["steps"] == 50
 
 
-def test_default_out_uses_env_var(damping_model_path, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["simulate", "--horizon", "0.5", "--step", "1e-2"], "trajectory.csv"),
+        (["simulate", "--horizon", "0.5", "--step", "1e-2", "--format", "json"], "trajectory.json"),
+        (["analyze-w", "--case", "dispersive", "--samples", "5"], "w_report.json"),
+        (["purification-scan", "--laws", "1", "--horizons", "0.1", "--step", "1e-2"], "purification_scan.json"),
+    ],
+    ids=["simulate-csv", "simulate-json", "analyze-w", "purification-scan"],
+)
+def test_default_out_uses_env_var(args, name, damping_model_path, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BLOCHPAIR_OUT", str(tmp_path))
-    code, stdout, _ = run_cli(
-        ["simulate", "--model", damping_model_path, "--horizon", "0.5", "--step", "1e-2"],
-        capsys,
-    )
+    if args[0] != "analyze-w":
+        args = args + ["--model", damping_model_path]
+    code, stdout, _ = run_cli(args, capsys)
     assert code == 0
-    assert json.loads(stdout)["out"] == str(tmp_path / "trajectory.csv")
-    assert (tmp_path / "trajectory.csv").exists()
+    summary = json.loads(stdout)
+    assert list(summary)[0] == "out"
+    assert summary["out"] == str(tmp_path / name)
+    assert (tmp_path / name).exists()

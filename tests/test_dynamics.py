@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from blochpair import dynamics
@@ -85,8 +87,28 @@ def test_control_law_rejects_non_finite_inputs(make):
         (lambda: ControlLaw("sampled", times=np.array([0.0]), values=np.zeros((1, 3))), "two samples"),
         (lambda: ControlLaw("bogus"), "kind"),
         (lambda: ControlLaw("state-feedback"), "callback"),
+        (
+            lambda: ControlLaw("state-feedback", times=[0, 1], values=np.zeros((2, 3)), callback=lambda t, v: v[:3]),
+            "a state-feedback law takes no times or values",
+        ),
+        (
+            lambda: ControlLaw("piecewise-constant", times=[0], values=[[0, 0, 0]], callback=lambda t, v: v[:3]),
+            "a piecewise-constant law takes no callback",
+        ),
+        (
+            lambda: ControlLaw("sampled", times=[0, 1], values=np.zeros((2, 3)), callback=lambda t, v: v[:3]),
+            "a sampled law takes no callback",
+        ),
     ],
-    ids=["piecewise-late-start", "sampled-one-sample", "unknown-kind", "feedback-no-callback"],
+    ids=[
+        "piecewise-late-start",
+        "sampled-one-sample",
+        "unknown-kind",
+        "feedback-no-callback",
+        "feedback-with-times",
+        "piecewise-with-callback",
+        "sampled-with-callback",
+    ],
 )
 def test_directly_built_law_is_checked(make, message):
     # the dataclass constructor runs the same checks as the named constructors
@@ -98,6 +120,30 @@ def test_directly_built_law_is_checked(make, message):
 def test_control_law_needs_one_value_per_time(make):
     with pytest.raises(ValueError, match="one control value per time"):
         make([0.0, 1.0, 2.0], np.zeros((2, 3)))
+
+
+def test_sampled_law_returns_interpolation_just_below_a_knot():
+    # np.interp overshoots the sample 5000 by 2 ulps here; the samples were checked when the law was built
+    law = ControlLaw.sampled([0, 0.384, 1.422, 2.5], [[0, 0, 0], [-5000, 0, 0], [5000, 0, 0], [0, 0, 0]], bound=5000)
+    u = law(np.nextafter(1.422, 0))
+    assert abs(u[0] - 5000) <= 4 * np.spacing(5000.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 3.0, exclude_min=True), min_size=1, max_size=6, unique=True),
+    st.lists(st.floats(-1e4, 1e4), min_size=3 * 7, max_size=3 * 7),
+    st.sampled_from([1e-3, 3e-3, 1e-2, 0.1]),
+)
+def test_sampled_law_stays_in_sample_box_at_stage_times(interior, values, step):
+    times = np.concatenate([[0.0], np.sort(interior)])
+    times = times[np.concatenate([[True], np.diff(times) > 0])]
+    samples = np.array(values[: 3 * len(times)]).reshape(-1, 3)
+    box = np.abs(samples).max()
+    law = ControlLaw.sampled(times, samples, bound=box)
+    t = np.arange(int(round(3.5 / step))) * step  # a run to 3.5, past the last sample: its stage times
+    u = law(np.stack([t, t + 0.5 * step, t + step]))
+    assert np.abs(u).max() <= box + 4 * np.spacing(box)
 
 
 def test_control_law_values_cannot_change_after_checks():
@@ -986,6 +1032,15 @@ def test_piecewise_controls_match_row_broadcast_reference(rng):
     assert np.array_equal(traj.controls, reference)
     assert np.array_equal(traj.controls[-1], law.values[4])
     assert traj.metadata["law"]["dropped_segments"] == 2
+
+
+@pytest.mark.parametrize("far", [1e16, 1e300])
+def test_breakpoint_far_past_horizon_is_dropped(far):
+    # times / step beyond the int64 range must not wrap round to step 0
+    law = ControlLaw.piecewise_constant([0.0, far], [[0.5, 0, 0], [1, 0, 0]])
+    traj = integrate(closed_model(), MIXED16, law, 1.0, 1e-3)
+    assert np.array_equal(traj.controls, np.broadcast_to(law.values[0], traj.controls.shape))
+    assert traj.metadata["law"]["dropped_segments"] == 1
 
 
 def test_purification_scan_hashes_its_model_once(rng, monkeypatch):

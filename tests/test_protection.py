@@ -238,6 +238,12 @@ def test_dispersive_zero_pattern_structural():
     assert dispersive_zero_pattern(model) == 0.0
 
 
+def test_pinned_indices_are_the_b_index_1_2_slots():
+    # vAB slots with second subscript 1 or 2, plus vB1 and vB2; the columns are the rest
+    assert protection._Z2_INDICES.tolist() == [4, 5, 7, 8, 10, 11, 13, 14]
+    assert protection._NON_Z2_COLUMNS.tolist() == [0, 1, 2, 3, 6, 9, 12, 15]
+
+
 @pytest.mark.parametrize("tag", ["dispersive", "resonant"])
 def test_dispersive_zero_pattern_matches_per_sample_loop(tag):
     model = make_model(Coupling(tag, 0.8), 0.9, 1.2, (SIGMA_MINUS, pauli(3) / 3))
