@@ -88,6 +88,9 @@ class ControlLaw:
     more (sampled), and a finite ``bound >= 0`` met by the given values
     (kept as read-only copies).  During a run only feedback values are
     checked, at every stage; an interpolation stays in its samples' box.
+    A value meets the bound when its magnitude is at most
+    ``bound + 4 * np.spacing(bound)``, a few ulps of the bound at every
+    scale, so a bound of 0 admits only 0.
     """
 
     kind: str
@@ -99,17 +102,19 @@ class ControlLaw:
     def __post_init__(self):
         if self.bound is not None and not (np.isfinite(self.bound) and self.bound >= 0):
             raise ValueError(f"control bound must be finite and >= 0, got {self.bound}")
+        limit = np.inf if self.bound is None else float(self.bound + 4 * np.spacing(self.bound))
+        object.__setattr__(self, "_limit", limit)
         if self.kind == "state-feedback":
             if self.times is not None or self.values is not None:
                 raise ValueError("a state-feedback law takes no times or values")
             if not callable(self.callback):
                 raise ValueError("a state-feedback law needs a callable callback")
-            callback, b = self.callback, np.inf if self.bound is None else self.bound + 1e-12
+            callback = self.callback
 
             def stage(t, v):  # the one bound-checked stage; ``__call__`` and ``integrate`` call it
                 u = np.asarray(callback(t, v), dtype=float).reshape(3)
                 x, y, z = u.tolist()  # three float tests cost less than ``abs(u).max()``; a NaN fails them
-                return u if abs(x) <= b and abs(y) <= b and abs(z) <= b else self._check_bound(u)
+                return u if abs(x) <= limit and abs(y) <= limit and abs(z) <= limit else self._check_bound(u)
 
             object.__setattr__(self, "_stage", stage)
             return
@@ -152,7 +157,7 @@ class ControlLaw:
     def _check_bound(self, u: np.ndarray) -> np.ndarray:
         if self.bound is not None:
             worst = abs(u).max()
-            if not worst <= self.bound + 1e-12:  # a NaN control fails too
+            if not worst <= self._limit:  # a NaN control fails too
                 raise ValueError(
                     f"control value {worst:.6g} exceeds declared bound {self.bound:.6g}"
                 )

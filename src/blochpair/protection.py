@@ -35,7 +35,9 @@ coefficients ``(n_vA, 9, 10)``, a chunk of ``vA`` rows at a time, with
 one table of the ``vB`` monomials ``1, b1, b2, b3, b_j b_k`` (``j <= k``)
 of the grid.  A chunk keeps only each row's smallest squared drift norm;
 the few rows that reach the zero bound are multiplied out again for
-their zeros.  :func:`drift_batch` is the one derivation of the drift.
+their zeros.  The sweep's random pairs go through :func:`drift_batch`
+itself, at most ``_SWEEP_CHUNK // 2`` pairs at a time, and keep only each
+pair's drift norm.  :func:`drift_batch` is the one derivation of the drift.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ COMPATIBILITY_TOL = 1e-10
 _TRANSCRIPTION_U = (0.4, -0.3, 0.6)
 #: drift norm at or below which the obstruction sweep counts a zero
 _DRIFT_TOL = 1e-9
-#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows); chunks
-#: this small keep each temporary near 0.3 MB, so the allocator reuses its
-#: memory instead of mapping and faulting in fresh pages on every chunk; a
-#: chunk keeps only each row's smallest squared norm
+#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows), and
+#: twice its random pairs per chunk; chunks this small keep each temporary
+#: near 0.3 MB, so the allocator reuses its memory instead of mapping and
+#: faulting in fresh pages on every chunk; a chunk keeps only each grid row's
+#: smallest squared norm, or each random pair's norm
 _SWEEP_CHUNK = 4096
 #: random ``vA`` blocks at which the axis-1 escape rate is evaluated
 _AXIS1_STATES = 20
@@ -454,6 +457,18 @@ def _drift_rows(coef: np.ndarray, mono: np.ndarray) -> tuple[np.ndarray, np.ndar
     return n_zero, first_zero, row_min
 
 
+def _pair_norms(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
+    """Drift norm of each pair ``(vas[n], vbs[n])``, at most ``_SWEEP_CHUNK // 2`` pairs at a time.
+
+    The chunks are of equal size to within one pair, so that none holds a
+    single pair (numpy's one-row product may round differently from a
+    stack's) and every norm equals that of one :func:`drift_batch` call.
+    """
+    n_chunks = max(1, -(-len(vas) // (_SWEEP_CHUNK // 2)))
+    chunks = zip(np.array_split(vas, n_chunks), np.array_split(vbs, n_chunks))
+    return np.concatenate([np.sqrt(_square_norm(drift_batch(m, va, vb))) for va, vb in chunks])
+
+
 def resonant_obstruction_report(
     g: float,
     grid_step: float = 0.05,
@@ -474,9 +489,11 @@ def resonant_obstruction_report(
     dissipation and report whether any solution has norm ``1/2`` (the
     only way full purity can survive the noise).
 
-    Each ``vA`` row of the grid, and each random pair as a one-column
-    row, goes through :func:`_drift_rows`: only the rows whose smallest
-    drift norm is at most :data:`_DRIFT_TOL` are searched for zeros.
+    Each ``vA`` row of the grid goes through :func:`_drift_rows`: only the
+    rows whose smallest drift norm is at most :data:`_DRIFT_TOL` are
+    searched for zeros.  The random pairs go through :func:`_pair_norms`,
+    a bounded chunk at a time; a pair is a zero when its norm is at most
+    :data:`_DRIFT_TOL`.
 
     ``grid_step`` must be finite, positive and small enough that some
     point of the ``vA`` grid lies in the ball.  A given ``model`` must
@@ -514,15 +531,16 @@ def resonant_obstruction_report(
     rng = np.random.default_rng(seed)
     va_rand, vb_rand = random_factorized_states(rng, n_random)
 
-    # random pairs are not a product grid: one-column rows, which come
-    # last below; evaluated first, so that their temporaries are freed
-    # before the grid's coefficients exist
-    rand_rows = _drift_rows(drift_batch(m, va_rand, vb_rand)[:, :, None], np.ones((1, 1)))
+    # random pairs are not a product grid: they come last below, and are
+    # evaluated first, so that their chunks are freed before the grid's
+    # coefficients exist
+    rand_min = _pair_norms(m, va_rand, vb_rand)
     # grid pairs: per vA row, the product of its coefficients and the vB monomial table
-    grid_rows = _drift_rows(_drift_coefficients(m, va_grid), _monomials(vb_grid))
-    n_zero, first_zero, row_min = (np.concatenate(x) for x in zip(grid_rows, rand_rows))
+    grid_zero, first_zero, grid_min = _drift_rows(_drift_coefficients(m, va_grid), _monomials(vb_grid))
+    n_zero = np.concatenate([grid_zero, rand_min <= _DRIFT_TOL])
+    row_min = np.concatenate([grid_min, rand_min])
     vas = np.concatenate([va_grid, va_rand])
-    vbs = np.concatenate([vb_grid[first_zero[: len(va_grid)]], vb_rand])
+    vbs = np.concatenate([vb_grid[first_zero], vb_rand])
 
     # ties go to the first row, in the order above, and its first zero
     va_norm = np.sqrt(_square_norm(vas))

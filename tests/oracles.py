@@ -12,7 +12,9 @@ the state-feedback stage loop with a fresh generator per stage.
 ``rk4_map_reference`` is the RK4 one-step map as one expression on
 fresh arrays, and ``rk4_sampled_reference`` the sampled law's block
 loop built on it: a ``(B, 3)`` time stack, a transposed generator
-stack, fresh maps and ``v = r @ v``.  Nothing in the package calls them.
+stack, fresh maps and ``v = r @ v``.  ``damped_resonant_abscissa`` and
+``inherited_equilibrium`` are the closed forms of B's asymptote under the
+resonant coupling and a ``sigma_3`` control.  Nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -168,6 +170,23 @@ def rk4_sampled_reference(model, v0, law, n_steps: int, step: float, block: int)
             states[k + 1] = r @ states[k]
     controls[n_steps] = law(times[n_steps])
     return states, controls
+
+
+def damped_resonant_abscissa(kappa: float, g: float, omega_a: float, omega_b: float, u3: float) -> float:
+    """Spectral abscissa of ``M(u)[1:, 1:]`` for the resonant coupling ``g diag(1, 1, 0)``, the one
+    jump ``sqrt(kappa) SIGMA_MINUS`` and ``u = (0, 0, u3)``: ``max Re(-z +- sqrt(z^2 - g^2))`` with
+    ``z = kappa + i (omega_b - omega_a - u3)``, the damped flip-flop pair of modes."""
+    z = kappa + 1j * (omega_b - omega_a - u3)
+    root = np.sqrt(z * z - g * g)
+    return float(max((-z + root).real, (-z - root).real))
+
+
+def inherited_equilibrium(kappa_minus: float, kappa_plus: float) -> np.ndarray:
+    """A's equilibrium Bloch vector under the jumps ``sqrt(kappa_minus) SIGMA_MINUS`` and
+    ``sqrt(kappa_plus) SIGMA_PLUS``: ``(0, 0, (kappa_plus - kappa_minus) / (2 (kappa_plus + kappa_minus)))``.
+    Under the resonant coupling and ``u = (0, 0, u3)`` the product of two copies of it is
+    stationary, so B inherits it."""
+    return np.array([0.0, 0.0, (kappa_plus - kappa_minus) / (2.0 * (kappa_plus + kappa_minus))])
 
 
 def ab_slot(i: int, j: int) -> int:

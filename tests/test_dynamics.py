@@ -31,10 +31,10 @@ from blochpair.dynamics import (
     _rk4_map,
     _segment_bounds,
 )
-from blochpair.generator import control_generators
+from blochpair.generator import control_generators, generator
 from blochpair.model import TwoQubitModel
 from blochpair.protection import Coupling, make_model
-from blochpair.quantum import SIGMA_MINUS, validate_density_matrix
+from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, validate_density_matrix
 from conftest import random_density_matrix, random_jump, random_model
 import oracles
 from oracles import random_control_laws as unique_control_laws
@@ -164,6 +164,45 @@ def test_control_law_rejects_negative_bound(bound):
     ControlLaw.constant([0.0, 0.0, 0.0], bound=0.0)
 
 
+def checked_law(kind, value, bound):
+    """A law of ``kind`` whose one nonzero control value is ``value``, checked once."""
+    if kind == "constant":
+        return ControlLaw.constant([value, 0.0, 0.0], bound=bound)
+    if kind == "sampled":
+        return ControlLaw.sampled([0.0, 1.0], [[0.0, 0.0, 0.0], [0.0, 0.0, -value]], bound=bound)
+    law = ControlLaw.feedback(lambda t, v: [0.0, -value, 0.0], bound=bound)
+    law(0.0, MIXED16)
+    return law
+
+
+def ulps_over(bound, n):
+    x = bound
+    for _ in range(n):
+        x = np.nextafter(x, np.inf)
+    return float(x)
+
+
+LAW_KINDS = ["constant", "sampled", "feedback"]
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("bound, value", [(0.0, 1e-12), (1.0, 1.0 + 1e-12)], ids=["zero", "one"])
+def test_control_bound_refuses_a_fixed_absolute_slack(kind, bound, value):
+    # a bound of 0 declares no control; 1 + 1e-12 is about 4,500 ulps over 1
+    with pytest.raises(ValueError, match=f"control value {value:.6g} exceeds declared bound {bound:.6g}"):
+        checked_law(kind, value, bound)
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("bound", [0.0, 5e-324, 1e-3, 0.5, 1.0, 3.0, 4.5e3, 1e5, 2.0**60, 1e300])
+def test_control_bound_admits_one_ulp_over_and_refuses_five(kind, bound):
+    # the slack is a few ulps of the bound at every scale; above about 4.5e3 a fixed 1e-12 was under one ulp
+    checked_law(kind, bound, bound)
+    checked_law(kind, ulps_over(bound, 1), bound)
+    with pytest.raises(ValueError, match="exceeds declared bound"):
+        checked_law(kind, ulps_over(bound, 5), bound)
+
+
 def test_feedback_bound_enforced():
     law = ControlLaw.feedback(lambda t, v: np.array([3.0, 0.0, 0.0]), bound=1.0)
     model = closed_model()
@@ -205,6 +244,28 @@ def test_feedback_without_bound_is_not_refused():
     assert np.all(traj.controls == [5.0, 0.0, 0.0])
     # with no bound a NaN passes the stage; the physicality gate refuses its run (test_non_finite_states_abort)
     assert np.isnan(ControlLaw.feedback(lambda t, v: [math.nan, 0.0, 0.0])(0.0, MIXED16)[0])
+
+
+def test_resonant_asymptote_of_b_matches_its_closed_forms(rng):
+    # 200 random resonant models under u = (0, 0, u3): with damping alone the spectral abscissa
+    # of M(u)[1:, 1:] is the flip-flop pair's; with pumping too, the stationary state solved from
+    # M(u) gives B the equilibrium of A
+    for _ in range(200):
+        omega_a, omega_b, u3 = rng.uniform(-2.0, 2.0, 3)
+        g, kappa_minus, kappa_plus = rng.uniform(0.05, 2.0), rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
+        lam = g * np.diag([1.0, 1.0, 0.0])
+        damped = TwoQubitModel(omega_a, omega_b, lam, (np.sqrt(kappa_minus) * SIGMA_MINUS,))
+        m = generator(damped, [0.0, 0.0, u3])
+        abscissa = np.max(np.linalg.eigvals(m[1:, 1:]).real)
+        want = oracles.damped_resonant_abscissa(kappa_minus, g, omega_a, omega_b, u3)
+        assert abs(abscissa - want) <= 1e-12
+        jumps = (np.sqrt(kappa_minus) * SIGMA_MINUS, np.sqrt(kappa_plus) * SIGMA_PLUS)
+        m = generator(TwoQubitModel(omega_a, omega_b, lam, jumps), [0.0, 0.0, u3])
+        stationary = np.linalg.solve(m[1:, 1:], -m[1:, 0] / 2.0)
+        np.testing.assert_allclose(
+            stationary[VB.start - 1 : VB.stop - 1], oracles.inherited_equilibrium(kappa_minus, kappa_plus),
+            rtol=0, atol=1e-12,
+        )
 
 
 def test_feedback_matches_stage_loop_reference_bit_for_bit(rng):

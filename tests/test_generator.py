@@ -273,6 +273,16 @@ def test_generator_accepts_controls_traceless_within_model_tolerance():
     np.testing.assert_allclose(m, numeric_generator(model, u), atol=1e-12)
 
 
+def test_numeric_generator_refuses_complex_projection_entries():
+    # an anti-Hermitian part of 4e-13 passes the model's Hermiticity check; at u1 = 1e3 the
+    # projection's imaginary entries exceed 1e-12, at u1 = 1 they do not
+    custom = (pauli(1) + 4e-13j * pauli(3), pauli(2), pauli(3))
+    model = TwoQubitModel(0.4, -0.2, np.eye(3) * 0.3, (SIGMA_MINUS,), custom)
+    numeric_generator(model, [1.0, 0.0, 0.0])
+    with pytest.raises(AssertionError, match="generator projection produced complex entries"):
+        numeric_generator(model, [1e3, 0.0, 0.0])
+
+
 def test_lambda_column_projection_definition(rng):
     # column j of the numeric generator is the basis projection of the
     # generator applied to basis element j

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from blochpair import dynamics, protection
-from blochpair.coherence import embed_factorized, factorization_residual
+from blochpair.coherence import VA, VAB, embed_factorized, factorization_residual
 from blochpair.dynamics import ControlLaw, integrate
 from blochpair.generator import control_generators, dissipator_blocks, generator, t_matrices
 from blochpair.model import TwoQubitModel
@@ -573,6 +575,73 @@ def test_drift_rows_on_sweep_coefficients_match_the_per_node_reduction():
     for g, x in zip(got, want):
         np.testing.assert_array_equal(g, x)
     assert got[0].sum() > 0
+
+
+#: random pairs per chunk of the obstruction sweep
+_PAIR_CHUNK = protection._SWEEP_CHUNK // 2
+
+
+def sweep_generator(g=0.7):
+    """The obstruction report's default model and generator."""
+    model = make_model(Coupling("resonant", g), 0.9, 1.1, (SIGMA_MINUS,))
+    return generator(model, np.array([0.3, -0.2, 0.1]))
+
+
+@pytest.mark.parametrize(
+    "n_pairs", [_PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1, 3 * _PAIR_CHUNK + 7]
+)
+@pytest.mark.parametrize("nan_entry", [False, True], ids=["resonant", "nan-entry"])
+def test_pair_norms_match_one_drift_batch_as_one_column_rows(n_pairs, nan_entry):
+    # chunked norms against the whole batch reduced node by node, bit for bit; the last
+    # pair, vA = vB = (0, 0, 1/2), has zero drift under the resonant generator
+    m = sweep_generator()
+    if nan_entry:
+        m[VAB.start + 4, VA.start] = np.nan
+    vas, vbs = random_factorized_states(np.random.default_rng(n_pairs), n_pairs)
+    vas[-1] = vbs[-1] = [0.0, 0.0, 0.5]
+    norms = protection._pair_norms(m, vas, vbs)
+    n_zero, first_zero, least = drift_rows(drift_batch(m, vas, vbs)[:, :, None])
+    np.testing.assert_array_equal(norms, least)
+    np.testing.assert_array_equal((norms <= protection._DRIFT_TOL).astype(np.intp), n_zero)
+    assert not first_zero.any()
+    if nan_entry:  # a NaN norm is no zero
+        assert np.all(np.isnan(norms)) and not n_zero.any()
+    else:
+        assert norms[-1] == 0.0 and n_zero[-1] == 1
+
+
+@pytest.mark.parametrize("n_random", [_PAIR_CHUNK + 1, 3 * _PAIR_CHUNK + 7])
+def test_resonant_obstruction_report_matches_drift_batch_sweep_over_pair_chunks(n_random):
+    report = resonant_obstruction_report(0.7, grid_step=0.25, n_random=n_random, seed=2)
+    zeros, min_norm, worst, min_off = obstruction_sweep_reference(0.7, 0.25, n_random, 2)
+    assert report["n_drift_zero_points"] == zeros
+    assert report["min_va_norm_at_zero"] == min_norm
+    assert report["worst_zero_point"] == worst
+    assert report["min_drift_off_sphere"] == pytest.approx(min_off, rel=0, abs=1e-15)
+
+
+def _traced_peak(f, *args, **kwargs) -> int:
+    f(*args, **kwargs)  # warm
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_pairs_raise_the_sweep_peak_by_their_draws_and_one_chunk():
+    # evaluated whole, 10,000 pairs raised the traced peak by about 360 bytes
+    # each, several times their draws; a coarse grid keeps the grid's own peak small
+    n_random = 10_000
+    draws = _traced_peak(random_factorized_states, np.random.default_rng(7), n_random)
+    vas, vbs = random_factorized_states(np.random.default_rng(7), _PAIR_CHUNK)
+    chunk = _traced_peak(drift_batch, sweep_generator(1.0), vas, vbs)
+    sweep = [
+        _traced_peak(resonant_obstruction_report, 1.0, grid_step=0.25, n_random=n, seed=7)
+        for n in (0, n_random)
+    ]
+    assert sweep[1] - sweep[0] <= draws + chunk
 
 
 @pytest.mark.parametrize("grid_step", [0.0, -0.1, np.nan, np.inf, 1.0])
