@@ -56,7 +56,7 @@ _MAX_SEGMENTS = 8
 
 
 class PhysicalityError(RuntimeError):
-    """A trajectory state violated the norm constraints beyond tolerance."""
+    """A recorded state after the start violated the norm constraints beyond tolerance."""
 
     def __init__(self, t: float, defect: float):
         super().__init__(
@@ -171,14 +171,6 @@ class ControlLaw:
             return np.stack([np.interp(t, self.times, self.values[:, i]) for i in range(3)], axis=-1)
         return self._stage(t, v)
 
-    def describe(self) -> dict:
-        info = {"kind": self.kind}
-        if self.bound is not None:
-            info["bound"] = self.bound
-        if self.times is not None:
-            info["segments"] = int(self.times.shape[0])
-        return info
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -236,11 +228,12 @@ def _split(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray, str]:
 @functools.lru_cache(maxsize=4)
 def _checked_start(raw: bytes) -> np.ndarray:
     """The read-only start state held in ``raw``, checked once per distinct start: the norm
-    gate, then :func:`~blochpair.quantum.validate_density_matrix`.  A failure is not cached."""
+    gate, then :func:`~blochpair.quantum.validate_density_matrix`; either raises ``ValueError``,
+    and a failure is not cached.  The one start gate: ``integrate`` and ``require_interior`` call it."""
     start = np.frombuffer(raw)
-    start_defect = float(physicality_defect(start))
-    if not start_defect <= ABORT_TOL:
-        raise PhysicalityError(0.0, start_defect)
+    defect = float(physicality_defect(start))
+    if not defect <= ABORT_TOL:  # NaN fails too
+        raise ValueError(f"start state violates physicality bounds by {defect:.3e} (limit {ABORT_TOL:.1e})")
     validate_density_matrix(from_coherence(start))
     return start
 
@@ -297,12 +290,13 @@ def integrate(
     Raises
     ------
     ValueError
-        If the start state passes the norm gate but not
+        If the start state violates the norm constraints by more than
+        :data:`ABORT_TOL` or is not finite, or fails
         :func:`~blochpair.quantum.validate_density_matrix` (a trace other
         than one, ``c0 != 1/2``, or a negative eigenvalue; checked once),
         or a feedback control computed during the run breaks the law's bound.
     PhysicalityError
-        If the start or any recorded state violates the norm constraints
+        If a recorded state after the start violates the norm constraints
         by more than :data:`ABORT_TOL`, or is not finite.  The worst
         defect, and whether it stays within :data:`WARN_TOL`, is reported
         in ``metadata["physicality"]``.
@@ -332,7 +326,11 @@ def integrate(
     controls = np.empty((n_steps + 1, 3))
     states[0] = start
 
-    law_info = law.describe()
+    law_info = {"kind": law.kind}
+    if law.bound is not None:
+        law_info["bound"] = law.bound
+    if law.times is not None:
+        law_info["segments"] = int(law.times.shape[0])
     if law.kind == "piecewise-constant":
         segments = _segment_bounds(law, n_steps, step)
         if len(segments) < len(law.times):  # segments that snap to no step of the grid
@@ -414,16 +412,16 @@ def purity_rate_b(model: TwoQubitModel, v) -> float:
 
 
 def require_interior(v0) -> None:
-    """Raise :class:`BoundaryStateError` unless ``v0`` is strictly interior.
+    """Raise :class:`BoundaryStateError` unless the state ``v0`` is strictly interior.
 
-    Interior means the reassembled density matrix is strictly positive
-    (all eigenvalues at or above ``_INTERIOR_EIG_MARGIN``), which also
-    implies full purity below one; the explicit purity margin guards
-    against states numerically glued to the pure-state sphere.
+    A start that is no state fails :func:`integrate`'s start gate first,
+    with its ``ValueError``.  Interior means the density matrix is strictly
+    positive (all eigenvalues at or above ``_INTERIOR_EIG_MARGIN``); the
+    purity margin guards against states glued to the pure-state sphere.
     """
-    flat = _as_flat(v0)
+    flat = _checked_start(_as_flat(v0).tobytes())
     full_purity = float(_square_norm(flat))
-    if not full_purity < 1.0 - _INTERIOR_PURITY_MARGIN:  # NaN fails too
+    if not full_purity < 1.0 - _INTERIOR_PURITY_MARGIN:
         raise BoundaryStateError(
             f"initial state has full purity {full_purity:.9f}; "
             "a strictly interior (mixed, non-singular) state is required"

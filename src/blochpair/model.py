@@ -60,7 +60,10 @@ class TwoQubitModel:
 
     def __post_init__(self):
         omega_a, omega_b = float(self.omega_a), float(self.omega_b)
-        lam = np.asarray(self.lam, dtype=float)
+        lam = np.asarray(self.lam)
+        if np.iscomplexobj(lam) and np.any(lam.imag):  # a cast to float would drop it with a warning only
+            raise ValueError(f"lam must be real, got imaginary parts {lam.imag.tolist()}")
+        lam = np.asarray(lam.real, dtype=float)
         if lam.shape != (3, 3):
             raise ValueError(f"coupling matrix must be 3x3, got {lam.shape}")
         for name, value in (("omega_a", omega_a), ("omega_b", omega_b), ("lam", lam)):

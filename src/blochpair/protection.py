@@ -539,13 +539,14 @@ def resonant_obstruction_report(
     grid_zero, first_zero, grid_min = _drift_rows(_drift_coefficients(m, va_grid), _monomials(vb_grid))
     n_zero = np.concatenate([grid_zero, rand_min <= _DRIFT_TOL])
     row_min = np.concatenate([grid_min, rand_min])
-    vas = np.concatenate([va_grid, va_rand])
-    vbs = np.concatenate([vb_grid[first_zero], vb_rand])
+    va_norm = np.sqrt(np.concatenate([_square_norm(va_grid), _square_norm(va_rand)]))
 
-    # ties go to the first row, in the order above, and its first zero
-    va_norm = np.sqrt(_square_norm(vas))
+    # ties go to the first row, in the order above, and its first zero; only that pair is looked up
     hit = np.flatnonzero(n_zero)
     worst = hit[np.argmin(va_norm[hit])] if hit.size else None
+    if worst is not None:
+        k = worst - len(va_grid)  # its index among the random pairs, if it is one
+        va, vb = (va_rand[k], vb_rand[k]) if k >= 0 else (va_grid[worst], vb_grid[first_zero[worst]])
     off_sphere = va_norm < 0.5 - 1e-6
 
     d_hat, v0 = dissipator_blocks(model.jumps)
@@ -561,7 +562,7 @@ def resonant_obstruction_report(
         "n_drift_zero_points": int(np.sum(n_zero)),
         "min_va_norm_at_zero": None if worst is None else float(va_norm[worst]),
         "worst_zero_point": (
-            None if worst is None else {"va": vas[worst].tolist(), "vb": vbs[worst].tolist()}
+            None if worst is None else {"va": va.tolist(), "vb": vb.tolist()}
         ),
         "min_drift_off_sphere": float(np.min(row_min[off_sphere], initial=np.inf)),
         "purity_fixed_point": solve,

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Validation tolerances.  The eigenvalue floor is loose on purpose:
-# states coming out of a fixed-step integrator carry tiny negative
-# eigenvalues that are numerical, not physical.
+# Validation tolerances, for input states only: integrator output meets
+# the norm gate of ``dynamics`` instead.  The eigenvalue floor absorbs
+# the rounding of states built numerically, as by ``from_coherence``.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
@@ -47,8 +47,8 @@ def hermiticity_defect(m: np.ndarray) -> float:
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix and return it as a complex array.
 
-    The package's one test of what a state is: ``to_coherence`` runs it
-    on its input and ``integrate`` on its start state.
+    The package's one test of what a state is, run by ``to_coherence``
+    on its input and by the start gate on every command's start state.
 
     Raises
     ------

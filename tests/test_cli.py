@@ -6,12 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+from blochpair import cli
 from blochpair.cli import main
 from blochpair.coherence import embed_factorized
 from blochpair.model import TwoQubitModel, load_model, save_model
 from blochpair.protection import Coupling, make_model, resonant_obstruction_report, transcription_report
 from blochpair.quantum import SIGMA_MINUS, pauli
-from conftest import NON_PAULI_CONTROLS
+from conftest import NON_PAULI_CONTROLS, REFUSED_STARTS
 
 
 @pytest.fixture
@@ -286,9 +287,8 @@ def test_simulate_missing_model_is_config_error(content, tmp_path, capsys):
     assert str(path) in json.loads(err)["error"]["message"]
 
 
-def test_simulate_unphysical_state_is_numerical_error(damping_model_path, tmp_path, capsys):
-    # |vA| > 1/2 violates the norm constraints: distinct exit code from
-    # configuration problems
+def test_simulate_unphysical_state_is_config_error(damping_model_path, tmp_path, capsys):
+    # |vA| > 1/2 violates the norm constraints: a bad input, which no step size can mend
     code, _, err = run_cli(
         [
             "simulate",
@@ -301,8 +301,9 @@ def test_simulate_unphysical_state_is_numerical_error(damping_model_path, tmp_pa
         ],
         capsys,
     )
-    assert code == 3
-    assert json.loads(err)["error"]["code"] == 3
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == 2
+    assert "start state violates physicality bounds" in json.loads(err)["error"]["message"]
 
 
 def test_simulate_non_finite_model_is_config_error(damping_model_path, tmp_path, capsys):
@@ -732,8 +733,56 @@ def test_purification_scan_rejects_nan_start(damping_model_path, tmp_path, capsy
     )
     assert code == 2
     assert stdout == ""
-    assert "initial state has full purity nan" in json.loads(err)["error"]["message"]
+    assert "start state violates physicality bounds by nan" in json.loads(err)["error"]["message"]
     assert not out.exists()
+
+
+_REFUSED_SPECS = {
+    "product:0.5000001,0,0:0,0,0": "negative eigenvalue -5.000e-08",
+    "product:0.50001,0,0:0,0,0": "physicality bounds by 1.000e-05",
+    "product:0.6,0,0:0,0,0": "physicality bounds by 1.100e-01",
+    "product:0.3,0.3,0.3:0.3,0.3,0.3": "physicality bounds by 8.160e-02",
+    "product:nan,0,0:0,0,0": "physicality bounds by nan",
+    "product:inf,0,0:0,0,0": "physicality bounds by nan",  # inf * 0 puts NaN in vAB
+}
+
+
+@pytest.mark.parametrize("start", list(_REFUSED_SPECS) + list(REFUSED_STARTS))
+def test_refused_start_is_one_config_error_in_both_commands(start, damping_model_path, tmp_path, capsys, monkeypatch):
+    # simulate exited 2 or 3 by how far outside the ball a start lay, and the scan named
+    # some non-states boundary states; a start that is no state is an input error in both
+    if start in REFUSED_STARTS:  # a start no --v0 spec can write, handed in as the parsed state
+        vector, words = REFUSED_STARTS[start]
+        parse = cli._initial_state
+        monkeypatch.setattr(cli, "_initial_state", lambda spec: vector.copy() if spec == "planted" else parse(spec))
+        start = "planted"
+    else:
+        words = _REFUSED_SPECS[start]
+    errors = []
+    for command, out in (("simulate", tmp_path / "t.csv"), ("purification-scan", tmp_path / "scan.json")):
+        code, stdout, err = run_cli([command, "--model", damping_model_path, "--v0", start, "--out", out], capsys)
+        assert (code, stdout) == (2, "")
+        errors.append(err)
+    assert sorted(tmp_path.iterdir()) == [damping_model_path]  # no output, no temporary file
+    assert errors[0] == errors[1]
+    error = json.loads(errors[0])["error"]
+    assert error["code"] == 2 and words in error["message"] and "detail" not in error
+
+
+@pytest.mark.parametrize(
+    "residual, code", [(1e-10, 0), (float(np.nextafter(1e-10, 1.0)), 3)], ids=["at-limit", "one-ulp-over"]
+)
+def test_oracle_residual_limit_edge(residual, code, tmp_path, capsys, monkeypatch):
+    # the transcription gate passes a residual of ORACLE_RESIDUAL_LIMIT = 1e-10 and refuses one double more
+    monkeypatch.setattr(cli, "transcription_report", lambda *args, **kwargs: {"max_residual": residual})
+    out = tmp_path / "w.json"
+    got, stdout, err = run_cli(["analyze-w", "--case", "dispersive", "--out", out], capsys)
+    assert got == code and out.exists() == (code == 0)
+    if code:
+        assert stdout == ""
+        assert json.loads(err)["error"]["message"] == "transcription residual 1.000e-10 is not within 1.0e-10"
+    else:
+        assert json.loads(stdout)["max_residual"] == 1e-10
 
 
 def test_lapack_failure_is_numerical_error(damping_model_path, tmp_path, capsys, monkeypatch):

@@ -35,7 +35,7 @@ from blochpair.generator import control_generators, generator
 from blochpair.model import TwoQubitModel
 from blochpair.protection import Coupling, make_model
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, validate_density_matrix
-from conftest import random_density_matrix, random_jump, random_model
+from conftest import REFUSED_STARTS, float_edge, random_density_matrix, random_jump, random_model
 import oracles
 from oracles import random_control_laws as unique_control_laws
 from oracles import rk4_feedback_reference, rk4_map_reference, rk4_sampled_reference
@@ -404,8 +404,8 @@ def test_segments_dropped_by_snapping_are_reported():
 def test_physicality_abort():
     model = closed_model()
     bad = MIXED16.copy()
-    bad[1:4] = 0.9  # way outside the Bloch ball
-    with pytest.raises(PhysicalityError):
+    bad[1:4] = 0.9  # way outside the Bloch ball: an input error, not a run's
+    with pytest.raises(ValueError, match="start state violates physicality bounds"):
         integrate(model, bad, ControlLaw.constant([0, 0, 0]), 1.0, 1e-2)
 
 
@@ -684,10 +684,39 @@ def test_purification_scan_rejects_boundary(rng):
         )
 
 
+def test_interior_purity_margin_edge():
+    # vA3 = vAB9 = vB3 = a: full purity 1/4 + 3 a^2, smallest eigenvalue 1/4 - a/2 (about 1.7e-7
+    # at the edge), so only the purity margin 1e-6 decides
+    def start(a):
+        v = MIXED16.copy()
+        v[[3, 12, 15]] = a
+        return v
+
+    inside, outside = float_edge(lambda a: _square_norm(start(a)) < 1.0 - 1e-6, 0.4, 0.5)
+    dynamics.require_interior(start(inside))
+    with pytest.raises(BoundaryStateError, match="initial state has full purity 0.999999000"):
+        dynamics.require_interior(start(outside))
+
+
+def test_interior_eigenvalue_margin_edge():
+    # vA3 = x alone: eigenvalues 1/4 +- x/2, full purity 1/4 + x^2 < 1/2
+    def start(x):
+        v = MIXED16.copy()
+        v[3] = x
+        return v
+
+    inside, outside = float_edge(
+        lambda x: np.linalg.eigvalsh(dynamics.from_coherence(start(x))).min() >= 1e-9, 0.4, 0.5
+    )
+    dynamics.require_interior(start(inside))
+    with pytest.raises(BoundaryStateError, match=r"initial state is singular \(min eigenvalue 1.000e-09\)"):
+        dynamics.require_interior(start(outside))
+
+
 def test_purification_scan_rejects_non_finite_start():
     model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (SIGMA_MINUS,))
     start = embed_factorized([np.nan, 0, 0], [0, 0, 0])
-    with pytest.raises(BoundaryStateError, match="full purity nan"):
+    with pytest.raises(ValueError, match="start state violates physicality bounds by nan"):
         purification_scan(model, start, [ControlLaw.constant([0, 0, 0])], [1.0], 1e-2)
 
 
@@ -748,7 +777,7 @@ def test_oversized_run_is_refused_before_allocating():
 def test_non_finite_start_aborts():
     start = MIXED16.copy()
     start[5] = np.nan
-    with pytest.raises(PhysicalityError):
+    with pytest.raises(ValueError, match="start state violates physicality bounds by nan"):
         integrate(closed_model(), start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
 
 
@@ -776,28 +805,101 @@ def test_start_without_unit_trace_rejected(c0, damped):
         integrate(model, start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
 
 
-@pytest.mark.parametrize(
-    "entry, value, error", [(5, np.nan, PhysicalityError), (0, 0.3, ValueError)], ids=["nan", "trace"]
-)
-def test_refused_start_is_refused_on_every_call(entry, value, error):
+@pytest.mark.parametrize("entry, value", [(5, np.nan), (0, 0.3)], ids=["nan", "trace"])
+def test_refused_start_is_refused_on_every_call(entry, value):
     # the start check is kept per distinct start, a refusal is not
     start = MIXED16.copy()
     start[entry] = value
     messages = []
     for _ in range(2):
-        with pytest.raises(error) as info:
+        with pytest.raises(ValueError) as info:
             integrate(closed_model(), start, ControlLaw.constant([0, 0, 0]), 0.1, 1e-2)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
 
 def test_purification_scan_rejects_start_without_unit_trace():
-    # rho = 0.15 I is interior, so require_interior lets it in; integrate's gate refuses its trace 0.6
+    # rho = 0.15 I meets every norm bound and is positive; the start gate refuses its trace 0.6
     model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
     start = np.zeros(16)
     start[0] = 0.3
     with pytest.raises(ValueError, match="trace"):
         purification_scan(model, start, [ControlLaw.constant([0, 0, 0])], [1.0], 1e-2)
+
+
+@pytest.mark.parametrize("name", list(REFUSED_STARTS))
+def test_refused_start_is_one_value_error_in_integrate_and_the_scan(name):
+    # the scan refused a start outside the ball as a boundary state, integrate as a run failure
+    start, words = REFUSED_STARTS[name]
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
+    law = ControlLaw.constant([0, 0, 0])
+    with pytest.raises(ValueError) as run:
+        integrate(model, start, law, 0.1, 1e-2)
+    with pytest.raises(ValueError) as scan:
+        purification_scan(model, start, [law], [0.1], 1e-2)
+    assert type(run.value) is ValueError and type(scan.value) is ValueError
+    assert str(scan.value) == str(run.value)
+    assert words in str(run.value)
+
+
+def _near_boundary_starts(rng, n):
+    """Product states with ``|vA|, |vB|`` within a few 1e-6 of 1/2, half with 1e-8 noise on every entry."""
+    blocks = rng.normal(size=(2, n, 3))
+    blocks *= 0.5 * (1.0 + rng.uniform(-4e-6, 4e-6, (2, n, 1))) / np.linalg.norm(blocks, axis=-1, keepdims=True)
+    starts = embed_factorized(blocks[0], blocks[1])
+    starts[::2, 1:] += rng.normal(scale=1e-8, size=(len(starts[::2]), 15))
+    return starts
+
+
+def test_start_gate_refuses_exactly_the_norm_and_state_refusals():
+    # the rule integrate used before the one gate: a norm defect above ABORT_TOL, then
+    # validate_density_matrix; every refusal is now one ValueError, in the scan too
+    model, law = closed_model(), ControlLaw.constant([0, 0, 0])
+    kinds = {"norm": 0, "state": 0, "accepted": 0}
+    for start in _near_boundary_starts(np.random.default_rng(2027), 300):
+        if not physicality_defect(start) <= ABORT_TOL:
+            kind = "norm"
+        else:
+            try:
+                validate_density_matrix(dynamics.from_coherence(start))
+                kind = "accepted"
+            except ValueError:
+                kind = "state"
+        kinds[kind] += 1
+        if kind == "accepted":
+            integrate(model, start, law, 1e-2, 1e-2)
+            continue
+        with pytest.raises(ValueError) as run:
+            integrate(model, start, law, 1e-2, 1e-2)
+        with pytest.raises(ValueError) as scan:
+            purification_scan(model, start, [law], [1e-2], 1e-2)
+        assert type(run.value) is ValueError and str(scan.value) == str(run.value)
+    assert min(kinds.values()) >= 30, kinds
+
+
+@pytest.mark.parametrize(
+    "law, expected",
+    [
+        (ControlLaw.constant([0.1, 0, 0]), [("kind", "piecewise-constant"), ("segments", 1)]),
+        (ControlLaw.constant([0.1, 0, 0], bound=1), [("kind", "piecewise-constant"), ("bound", 1), ("segments", 1)]),
+        (
+            ControlLaw.piecewise_constant([0.0, 0.5, 0.5002], [[0, 0, 0], [1, 0, 0], [0, 0, 0]], bound=2.5),
+            [("kind", "piecewise-constant"), ("bound", 2.5), ("segments", 3), ("dropped_segments", 1)],
+        ),
+        (ControlLaw.sampled([0.0, 1.0], [[0, 0, 0], [1, 0, 0]]), [("kind", "sampled"), ("segments", 2)]),
+        (
+            ControlLaw.sampled([0.0, 0.5, 1.0], np.zeros((3, 3)), bound=0.0),
+            [("kind", "sampled"), ("bound", 0.0), ("segments", 3)],
+        ),
+        (ControlLaw.feedback(lambda t, v: np.zeros(3)), [("kind", "state-feedback")]),
+        (ControlLaw.feedback(lambda t, v: np.zeros(3), bound=0.5), [("kind", "state-feedback"), ("bound", 0.5)]),
+    ],
+    ids=["constant", "constant-bound", "piecewise-dropped", "sampled", "sampled-bound", "feedback", "feedback-bound"],
+)
+def test_law_record_keys_and_order(law, expected):
+    # the exported JSON writes the record in this order, so its bytes depend on it
+    traj = integrate(closed_model(), MIXED16, law, 1.0, 1e-3)
+    assert list(traj.metadata["law"].items()) == expected
 
 
 def test_memory_guard_counts_what_the_run_holds(monkeypatch):

@@ -224,6 +224,19 @@ def test_model_rejects_non_finite_entries(field, bad):
         TwoQubitModel(**kwargs)
 
 
+@pytest.mark.parametrize("entry", [1j, 1 + 1e-300j, complex(0, np.nan)], ids=["1j", "tiny-imag", "nan-imag"])
+def test_model_refuses_a_complex_coupling(entry):
+    # a float cast kept only the real part, with a ComplexWarning, so lam = diag(1j, 0, 0) became 0
+    with pytest.raises(ValueError, match=r"lam must be real, got imaginary parts \[\["):
+        TwoQubitModel(0.0, 0.0, np.diag([entry, 0, 0]))
+
+
+def test_model_keeps_a_complex_coupling_with_zero_imaginary_parts():
+    model = TwoQubitModel(0.0, 0.0, np.diag([1 + 0j, 0, 0]))
+    assert model.lam.dtype == float
+    np.testing.assert_array_equal(model.lam, np.diag([1.0, 0, 0]))
+
+
 def test_model_json_round_trip(tmp_path, rng):
     model = random_model(rng)
     path = tmp_path / "model.json"

@@ -644,6 +644,36 @@ def test_random_pairs_raise_the_sweep_peak_by_their_draws_and_one_chunk():
     assert sweep[1] - sweep[0] <= draws + chunk
 
 
+def test_sweep_end_step_keeps_no_copy_of_the_pairs():
+    # combining the grid rows and the random pairs kept a (n, 3) copy of every pair's
+    # vA and vB, 133 bytes per pair in all; per-row arrays and the draws keep about 85
+    n_random = 100_000
+    sweep = [
+        _traced_peak(resonant_obstruction_report, 1.0, grid_step=0.25, n_random=n, seed=7)
+        for n in (0, n_random)
+    ]
+    assert sweep[1] - sweep[0] <= 100 * n_random
+
+
+def test_worst_zero_point_among_the_random_pairs(monkeypatch):
+    # a planted random pair just inside |vA| = 1/2 with zero drift beats the grid's north
+    # pole, |vA| = 1/2 exactly; it is reported from the random part, at its own index
+    inside = np.nextafter(0.5, 0.0)
+
+    def planted(rng, n):
+        vas, vbs = random_factorized_states(rng, n)
+        vas[5], vbs[5] = [0.0, 0.0, inside], [0.0, 0.0, 0.5]
+        return vas, vbs
+
+    clean = resonant_obstruction_report(1.0, grid_step=0.25, n_random=50, seed=3)
+    monkeypatch.setattr(protection, "random_factorized_states", planted)
+    report = resonant_obstruction_report(1.0, grid_step=0.25, n_random=50, seed=3)
+    assert clean["min_va_norm_at_zero"] == 0.5
+    assert report["n_drift_zero_points"] == clean["n_drift_zero_points"] + 1
+    assert report["min_va_norm_at_zero"] == inside
+    assert report["worst_zero_point"] == {"va": [0.0, 0.0, inside], "vb": [0.0, 0.0, 0.5]}
+
+
 @pytest.mark.parametrize("grid_step", [0.0, -0.1, np.nan, np.inf, 1.0])
 def test_resonant_obstruction_rejects_grid_steps_that_sweep_nothing(grid_step):
     with pytest.raises(ValueError, match="grid_step"):

@@ -12,7 +12,7 @@ from blochpair.quantum import (
     pauli,
     validate_density_matrix,
 )
-from conftest import random_density_matrix, random_pure_state
+from conftest import float_edge, random_density_matrix, random_pure_state
 from oracles import (
     IDENTITY_4,
     gksl_rhs,
@@ -187,3 +187,36 @@ def test_non_finite_entries_rejected(where, bad):
         with pytest.raises(ValueError, match="density matrix") as info:
             gate(rho)
         assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+# -- each validation tolerance at its edge: the documented value in, one double past it out
+
+
+def test_hermiticity_tolerance_edge():
+    rho = np.diag([0.25] * 4).astype(complex)
+    rho[0, 1] = 1e-12  # the defect is exactly HERMITICITY_TOL
+    validate_density_matrix(rho)
+    rho[0, 1] = np.nextafter(1e-12, 1.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["above-one", "below-one"])
+def test_trace_tolerance_edge(side):
+    # the trace's own resolution: the last double within TRACE_TOL = 1e-12 of one, and the next
+    inside, outside = float_edge(lambda t: abs(t - 1.0) <= 1e-12, 1.0, 1.0 + side * 2e-12)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = inside
+    validate_density_matrix(rho)
+    rho[0, 0] = outside
+    with pytest.raises(ValueError, match="trace"):
+        validate_density_matrix(rho)
+
+
+def test_eigenvalue_floor_edge():
+    # a diagonal matrix: eigvalsh returns its entries exactly, so the floor -1e-10 itself passes
+    rho = np.diag([0.5 + 1e-10, 0.25, 0.25, -1e-10]).astype(complex)
+    validate_density_matrix(rho)
+    rho[3, 3] = np.nextafter(-1e-10, -1.0)
+    with pytest.raises(ValueError, match="negative eigenvalue -1.000e-10"):
+        validate_density_matrix(rho)
