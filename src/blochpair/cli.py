@@ -96,9 +96,12 @@ def _parse_triple(text: str, flag: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"{flag} expects three comma-separated numbers, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        triple = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ValueError(f"could not parse {flag}={text!r}: {exc}") from exc
+    if not np.all(np.isfinite(triple)):
+        raise ValueError(f"{flag} expects three finite numbers, got {text!r}")
+    return triple
 
 
 def _load_model_arg(path: str) -> TwoQubitModel:

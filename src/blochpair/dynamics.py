@@ -47,6 +47,8 @@ ABORT_TOL = 1e-6
 WARN_TOL = 1e-8
 #: steps ``B`` advanced by one stack of one-step maps; also CSV rows per formatted chunk
 _BLOCK = 256
+#: recorded states the physicality gate judges at a time
+_GATE_CHUNK = 8192
 #: an interior state has full purity below ``1 - _INTERIOR_PURITY_MARGIN``
 _INTERIOR_PURITY_MARGIN = 1e-6
 #: smallest density-matrix eigenvalue an interior state may have
@@ -284,8 +286,8 @@ def integrate(
 
     Every trajectory, the scan's included, comes from here; the affine
     split and hash of ``model`` are built on its first call and reused,
-    and each distinct start is checked once.  The returned arrays are
-    read-only, so the stored norms cannot go stale.
+    each distinct start is checked once, and the gate reads the stored
+    norms, read-only like the returned arrays, in bounded chunks.
 
     Raises
     ------
@@ -301,15 +303,15 @@ def integrate(
         defect, and whether it stays within :data:`WARN_TOL`, is reported
         in ``metadata["physicality"]``.
     MemoryError
-        If the recorded run would not fit in physical memory; it is
-        raised before anything is allocated.
+        If the recorded run, 23 float64 a step, would not fit in physical
+        memory; it is raised before anything is allocated.
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     if not (np.isfinite(horizon) and horizon >= step):
         raise ValueError(f"horizon must be finite and at least one step, got {horizon}")
-    # bytes held at the gate, 25 float64 a step: states 16, controls 3, times 1, norms 3, gate 2
-    need = (horizon / step + 1) * 25 * 8
+    # bytes a run holds, 23 float64 a step: states 16, controls 3, times 1, norms 3
+    need = (horizon / step + 1) * 23 * 8
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if not need <= memory:
         raise MemoryError(
@@ -384,15 +386,19 @@ def integrate(
         "law": law_info,
     }
     traj = Trajectory(times=times, states=states, controls=controls, metadata=metadata)
-    # the gate reads the trajectory's norms; argmax returns the first NaN, and ``not <=`` rejects it
-    defects = _norm_defect(*traj.norms)
-    worst = int(np.argmax(defects))
-    if not defects[worst] <= ABORT_TOL:
-        raise PhysicalityError(float(times[worst]), float(defects[worst]))
+    # the gate finds ``np.argmax`` of the run's defects, a chunk at a time; ``not <=`` rejects a NaN
+    worst, defect = 0, -np.inf
+    for k0 in range(0, n_steps + 1, _GATE_CHUNK):
+        part = _norm_defect(*(x[k0 : k0 + _GATE_CHUNK] for x in traj.norms))
+        k = int(np.argmax(part))
+        if defect == defect and not part[k] <= defect:  # a larger maximum or the first NaN, never after one
+            worst, defect = k0 + k, float(part[k])
+    if not defect <= ABORT_TOL:
+        raise PhysicalityError(float(times[worst]), defect)
     metadata["physicality"] = {
-        "max_defect": float(defects[worst]),
+        "max_defect": defect,
         "t_worst": float(times[worst]),
-        "within_warn_tol": bool(defects[worst] <= WARN_TOL),
+        "within_warn_tol": defect <= WARN_TOL,
     }
     return traj
 
@@ -443,12 +449,12 @@ def purification_scan(
 ) -> dict:
     """Record how close ``Tr(rho_B^2)`` gets to one under each control law.
 
-    For every law the flow is integrated once to the largest horizon and
-    the running maximum of the reduced purity of B is read off at each
-    requested horizon; each entry's ``law_info`` is the trajectory's
-    ``metadata["law"]``.  The margins ``1 - max_t Tr(rho_B^2)`` are
-    numerical evidence only; no finite sample of control laws can prove
-    unreachability.
+    For every law the flow is integrated once to the largest horizon, each
+    requested horizon's peak is the purity of the largest ``|vB|^2`` up to
+    it, and the run is dropped before the next law: no copy is kept.  Each
+    entry's ``law_info`` is the trajectory's ``metadata["law"]``.  The margins
+    ``1 - max_t Tr(rho_B^2)`` are numerical evidence only; no finite
+    sample of control laws can prove unreachability.
     """
     horizons = [float(h) for h in np.atleast_1d(horizons)]
     for t_h in horizons:
@@ -460,15 +466,14 @@ def purification_scan(
     min_margin = np.inf
     for idx, law in enumerate(laws):
         traj = integrate(model, v0, law, t_max, step)
-        purity_b, law_info = traj.purity_b, traj.metadata["law"]
-        del traj  # one trajectory alive at a time
         per_horizon = []
-        for t_h in horizons:
-            peak = float(purity_b[: int(round(t_h / step)) + 1].max())
+        for t_h in horizons:  # ``0.5 + 2x`` is monotone, so the purity of the peak norm is the peak purity
+            peak = float(_purity_of(traj.norms[2][: int(round(t_h / step)) + 1].max()))
             margin = 1.0 - peak
             min_margin = min(min_margin, margin)
             per_horizon.append({"horizon": t_h, "max_purity_b": peak, "margin": margin})
-        entries.append({"law": idx, "law_info": law_info, "per_horizon": per_horizon})
+        entries.append({"law": idx, "law_info": traj.metadata["law"], "per_horizon": per_horizon})
+        del traj  # nothing of this run stays alive while the next law integrates
     return {
         "label": "numerical evidence",
         "step": float(step),

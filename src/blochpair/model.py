@@ -18,6 +18,7 @@ import numpy as np
 
 from .quantum import IDENTITY_2, hermiticity_defect, pauli
 
+#: largest ``|trace|`` of an operator, and Hermiticity defect of a control Hamiltonian, a model takes
 _TRACELESS_TOL = 1e-12
 #: entrywise distance within which control Hamiltonians count as the Pauli set
 _DEFAULT_CONTROLS_TOL = 1e-12

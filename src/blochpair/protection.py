@@ -56,6 +56,14 @@ COUPLING_TAGS = ("dispersive", "resonant", "sigma3-sigma1")
 
 #: residual threshold of the amplitude-damping compatibility condition
 COMPATIBILITY_TOL = 1e-10
+#: largest entrywise distance at which a model's coupling matrix is a coupling case's
+_COUPLING_TOL = 1e-12
+#: largest distance of ``|va3|`` from 1/2 at which :func:`protecting_control` takes a pole
+_POLE_TOL = 1e-10
+#: largest distance of ``|vB|^2`` from 1/4 at which :func:`protected_run` takes B on its sphere
+_SPHERE_TOL = 1e-10
+#: slack of the obstruction sweep's ball ``|vA|^2 <= 1/4``, which keeps grid points rounded just past it
+_BALL_SLACK = 1e-12
 #: control offset of the transcription comparison model
 _TRANSCRIPTION_U = (0.4, -0.3, 0.6)
 #: drift norm at or below which the obstruction sweep counts a zero
@@ -115,7 +123,7 @@ def make_model(
 
 def require_coupling(model: TwoQubitModel, coupling: Coupling) -> None:
     """Raise ``ValueError`` unless ``model.lam`` is the coupling matrix of ``coupling``."""
-    if not np.max(np.abs(model.lam - coupling.lambda_matrix())) <= 1e-12:
+    if not np.max(np.abs(model.lam - coupling.lambda_matrix())) <= _COUPLING_TOL:
         raise ValueError(f"model coupling matrix does not match the {coupling.tag} coupling case")
 
 
@@ -299,7 +307,7 @@ def protecting_control(model: TwoQubitModel, va3: float) -> tuple[float, float]:
     which is checked first.  ``u3`` is free and taken to be zero.
     """
     va3 = float(va3)
-    if not abs(abs(va3) - 0.5) <= 1e-10:
+    if not abs(abs(va3) - 0.5) <= _POLE_TOL:
         raise ValueError(f"va3 must be +/- 1/2, got {va3}")
     if not model.has_default_controls():
         raise ValueError("the protecting control law assumes the default Pauli controls")
@@ -513,7 +521,7 @@ def resonant_obstruction_report(
     axis = np.arange(-0.5, 0.5 + grid_step / 2.0, grid_step)
     ga, gb, gc = np.meshgrid(axis, axis, axis, indexing="ij")
     va_grid = np.column_stack([ga.ravel(), gb.ravel(), gc.ravel()])
-    va_grid = va_grid[_square_norm(va_grid) <= 0.25 + 1e-12]
+    va_grid = va_grid[_square_norm(va_grid) <= 0.25 + _BALL_SLACK]
     if len(va_grid) == 0:
         raise ValueError(f"grid_step {grid_step} puts no vA grid point in the ball |vA| <= 1/2")
 
@@ -624,7 +632,7 @@ def protected_run(
     require_coupling(model, coupling)
     law = protecting_law(model, va3)
     vb0 = np.asarray(vb0, dtype=float).reshape(3)
-    if not abs(vb0 @ vb0 - 0.25) <= 1e-10:
+    if not abs(vb0 @ vb0 - 0.25) <= _SPHERE_TOL:
         raise ValueError(f"|vB|^2 must be 1/4, got {vb0 @ vb0:.12f}")
     traj = integrate(model, embed_factorized([0.0, 0.0, va3], vb0), law, horizon, step)
     rot = reduced_b_generator(coupling, va3, model.omega_b)

@@ -38,6 +38,7 @@ from blochpair.protection import (
 )
 from blochpair.quantum import SIGMA_MINUS, pauli
 from conftest import random_density_matrix, random_model, random_pure_state
+import oracles
 from oracles import partial_trace_a, purity
 
 MIXED16 = np.concatenate([[0.5], np.zeros(15)])
@@ -252,12 +253,20 @@ def test_criterion_09_purification_only_asymptotic():
     all_positive = report["min_margin"] > 0.0
     free_margins = [p["margin"] for p in report["entries"][0]["per_horizon"]]
     decreasing = all(a > b for a, b in zip(free_margins, free_margins[1:]))
+    # the zero law's margin decays at 2|alpha|, alpha the abscissa of the damped flip-flop
+    # modes -0.1 +- 0.387i; they beat, so a least-squares fit over [10, 50] reads the rate
+    # where two 10-unit endpoints read 0.167 to 0.232
+    free = integrate(model, MIXED16, laws[0], max(horizons), 1e-3)
+    late = free.times >= 10.0
+    slope = np.polyfit(free.times[late], np.log1p(-free.purity_b[late]), 1)[0]
+    rate = 2.0 * abs(oracles.damped_resonant_abscissa(0.1, 0.4, 1.0, 1.0, 0.0))
     _report(
         9,
-        all_positive and decreasing,
+        all_positive and decreasing and abs(-slope - rate) <= 0.01 * rate,
         "reduced purity of B approaches one only asymptotically",
         f"min margin {report['min_margin']:.2e} over {len(laws)} laws, "
-        f"drift-only margins {['%.2e' % m for m in free_margins]}",
+        f"drift-only margins {['%.2e' % m for m in free_margins]}, "
+        f"fitted decay {-slope:.5f} against 2|alpha| = {rate:.5f}",
     )
 
 

@@ -425,8 +425,14 @@ def test_output_in_missing_directory_is_config_error(
         (["--v0", "product:0,0,0"], "--v0 product form is product:ax,ay,az:bx,by,bz"),
         (["--v0", "bogus"], "unknown --v0 specification 'bogus'"),
         (["--control", "bogus"], "unknown --control specification 'bogus'"),
+        (["--v0", "product:inf,0,0:0,0,0"], "--v0 expects three finite numbers, got 'inf,0,0'"),
+        (["--v0", "product:0,0,0:0,nan,0"], "--v0 expects three finite numbers, got '0,nan,0'"),
+        (["--control", "constant:1,-inf,0"], "--control expects three finite numbers, got '1,-inf,0'"),
     ],
-    ids=["triple-count", "triple-parse", "product-one-block", "v0-unknown", "control-unknown"],
+    ids=[
+        "triple-count", "triple-parse", "product-one-block", "v0-unknown", "control-unknown",
+        "v0-inf", "v0-nan", "control-inf",
+    ],
 )
 def test_malformed_specification_is_config_error(args, message, damping_model_path, tmp_path, capsys):
     out = tmp_path / "t.csv"
@@ -733,7 +739,7 @@ def test_purification_scan_rejects_nan_start(damping_model_path, tmp_path, capsy
     )
     assert code == 2
     assert stdout == ""
-    assert "start state violates physicality bounds by nan" in json.loads(err)["error"]["message"]
+    assert "--v0 expects three finite numbers, got 'nan,0,0'" in json.loads(err)["error"]["message"]
     assert not out.exists()
 
 
@@ -742,8 +748,8 @@ _REFUSED_SPECS = {
     "product:0.50001,0,0:0,0,0": "physicality bounds by 1.000e-05",
     "product:0.6,0,0:0,0,0": "physicality bounds by 1.100e-01",
     "product:0.3,0.3,0.3:0.3,0.3,0.3": "physicality bounds by 8.160e-02",
-    "product:nan,0,0:0,0,0": "physicality bounds by nan",
-    "product:inf,0,0:0,0,0": "physicality bounds by nan",  # inf * 0 puts NaN in vAB
+    "product:nan,0,0:0,0,0": "--v0 expects three finite numbers, got 'nan,0,0'",
+    "product:inf,0,0:0,0,0": "--v0 expects three finite numbers, got 'inf,0,0'",
 }
 
 

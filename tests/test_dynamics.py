@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from blochpair import dynamics
 from blochpair.coherence import VA, VB, _square_norm, embed_factorized, physicality_defect
-from blochpair.coherence import to_coherence
+from blochpair.coherence import _norm_defect, to_coherence
 from blochpair.dynamics import (
     _BLOCK,
     ABORT_TOL,
@@ -903,7 +903,8 @@ def test_law_record_keys_and_order(law, expected):
 
 
 def test_memory_guard_counts_what_the_run_holds(monkeypatch):
-    # a 1,000-step run records 1,001 states and holds 25 float64 for each at the gate
+    # a 1,000-step run records 1,001 states and holds 23 float64 for each: states 16,
+    # controls 3, times 1 and norms 3; the gate reads the norms in bounded chunks
     def run_with_memory(floats_per_step):
         memory = {"SC_PHYS_PAGES": floats_per_step * 8 * 1001, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(dynamics.os, "sysconf", memory.__getitem__)
@@ -911,7 +912,92 @@ def test_memory_guard_counts_what_the_run_holds(monkeypatch):
 
     with pytest.raises(MemoryError, match=r"horizon 1 at step 0.001 needs"):
         run_with_memory(22)
-    assert len(run_with_memory(25)) == 1001
+    assert len(run_with_memory(23)) == 1001
+
+
+def test_purification_scan_holds_one_trajectory(rng):
+    # at its peak a 40,000-step scan holds the live run's 23 float64 per recorded
+    # step and less than 0.5 MB besides: no whole-run gate array, and nothing of
+    # the previous law's run while the next one integrates
+    model = make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
+    laws = [ControlLaw.constant([0, 0, 0])] + random_control_laws(rng, 2, 1.0, 40.0)
+    purification_scan(model, MIXED16, laws[:1], [1.0], 1e-3)  # builds the model's split
+    tracemalloc.start()
+    try:
+        purification_scan(model, MIXED16, laws, [10.0, 40.0], 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23 * 8 * 40_001 + 0.5e6, peak / (8 * 40_001)
+
+
+_CHUNK = dynamics._GATE_CHUNK
+
+
+def _gate(full) -> tuple:
+    """``(t, defect, aborted)`` of ``integrate``'s gate over a run whose recorded ``|v|^2``
+    are ``full`` and whose ``|vA|^2`` and ``|vB|^2`` are 0, and the same read off
+    ``np.argmax`` of the whole run's defects; defects as ``repr`` so NaN compares equal."""
+    norms = (np.asarray(full, dtype=float), np.zeros(len(full)), np.zeros(len(full)))
+
+    class Planted(Trajectory):
+        def __post_init__(self):
+            object.__setattr__(self, "norms", norms)
+
+    step = 1e-3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "Trajectory", Planted)
+        try:
+            traj = integrate(closed_model(), MIXED16, ControlLaw.constant([0, 0, 0]), (len(full) - 1) * step, step)
+            got = (traj.metadata["physicality"]["t_worst"], traj.metadata["physicality"]["max_defect"], False)
+        except PhysicalityError as exc:
+            got = (exc.t, exc.defect, True)
+    defects = _norm_defect(*norms)
+    k = int(np.argmax(defects))
+    expected = (float((np.arange(len(full)) * step)[k]), float(defects[k]), not defects[k] <= ABORT_TOL)
+    return (got[0], repr(got[1]), got[2]), (expected[0], repr(expected[1]), expected[2])
+
+
+_GATE_LENGTHS = [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+@pytest.mark.parametrize("length", _GATE_LENGTHS)
+@pytest.mark.parametrize(
+    "plants, worst",
+    [
+        ([], None),  # all defects negative
+        ([(1 / 3, 0.999), (2 / 3, 0.999), (1.0, 0.999)], 1 / 3),  # equal maxima: the first wins
+        ([(0.5, 1.5), (1 / 3, 1 + 1e-6)], 0.5),  # a failing run
+        ([(0.5, np.nan), (2 / 3, 1.5), (1.0, np.nan)], 0.5),  # a NaN before the maximum
+        ([(1 / 3, 1.5), (2 / 3, np.nan), (1.0, np.nan)], 2 / 3),  # NaNs after the maximum
+    ],
+    ids=["all-negative", "ties", "abort", "nan-before-max", "nan-after-max"],
+)
+def test_chunked_gate_is_argmax_of_the_whole_run(length, plants, worst):
+    # ``full`` values at ``int(where * (length - 1))``; the rest are uniform in [0.8, 0.99)
+    full = np.random.default_rng(length).uniform(0.8, 0.99, length)
+    for where, value in plants:
+        full[int(where * (length - 1))] = value
+    got, expected = _gate(full)
+    assert got == expected
+    if worst is not None and length > 2:
+        assert got[0] == int(worst * (length - 1)) * 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.sampled_from(_GATE_LENGTHS),
+    plants=st.lists(
+        st.tuples(st.floats(0, 1), st.sampled_from([0.99, 0.999, 1.0, 1 + 1e-9, 1 + 1e-6, 1.5, np.nan])),
+        max_size=5,
+    ),
+)
+def test_chunked_gate_is_argmax_of_planted_runs(length, plants):
+    full = np.full(length, 0.9)
+    for where, value in plants:
+        full[int(where * (length - 1))] = value
+    got, expected = _gate(full)
+    assert got == expected
 
 
 @pytest.mark.parametrize(

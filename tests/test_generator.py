@@ -309,3 +309,29 @@ def test_lambda_column_projection_definition(rng):
     img = lindblad_apply(lam[j], h, jumps)
     col = np.einsum("ikl,lk->i", lam, img).real
     np.testing.assert_allclose(m[:, j], col, atol=1e-13)
+
+
+# -- each model tolerance at its edge: the documented value in, one double past it out
+
+
+def test_control_hermiticity_tolerance_edge():
+    # [[0, x], [0, 0]] is traceless and differs from its conjugate transpose by exactly x;
+    # the control Hamiltonians' Hermiticity test shares _TRACELESS_TOL = 1e-12 with the trace test
+    def controls(x):
+        return (pauli(1), pauli(2), np.array([[0.0, x], [0.0, 0.0]]))
+
+    TwoQubitModel(0.3, 0.9, np.eye(3), control_hams=controls(1e-12))
+    with pytest.raises(ValueError, match="control Hamiltonian 2 is not Hermitian"):
+        TwoQubitModel(0.3, 0.9, np.eye(3), control_hams=controls(np.nextafter(1e-12, 1.0)))
+
+
+@pytest.mark.parametrize("name", ["jump operator", "control Hamiltonian"])
+def test_traceless_tolerance_edge(name):
+    # diag(x, 0) is Hermitian with trace exactly x; _TRACELESS_TOL = 1e-12
+    def operators(x):
+        m = np.diag([x, 0.0])
+        return {"jumps": (m,)} if name == "jump operator" else {"control_hams": (m, pauli(2), pauli(3))}
+
+    TwoQubitModel(0.3, 0.9, np.eye(3), **operators(1e-12))
+    with pytest.raises(ValueError, match=f"{name} 0 is not traceless"):
+        TwoQubitModel(0.3, 0.9, np.eye(3), **operators(np.nextafter(1e-12, 1.0)))

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from blochpair import dynamics, protection
-from blochpair.coherence import VA, VAB, embed_factorized, factorization_residual
+from blochpair.coherence import VA, VAB, _square_norm, embed_factorized, factorization_residual
 from blochpair.dynamics import ControlLaw, integrate
 from blochpair.generator import control_generators, dissipator_blocks, generator, t_matrices
 from blochpair.model import TwoQubitModel
@@ -29,7 +29,7 @@ from blochpair.protection import (
     transcription_report,
 )
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
-from conftest import NON_PAULI_CONTROLS, random_model
+from conftest import NON_PAULI_CONTROLS, float_edge, random_model
 from oracles import drift_rows
 
 ZERO_U = np.zeros(3)
@@ -789,3 +789,82 @@ def test_axis1_drift_vanishes_but_dynamics_escape(rng):
         va = rng.normal(size=3)
         va *= 0.5 * rng.uniform() ** (1 / 3) / np.linalg.norm(va)
         assert np.max(np.abs(drift_batch(m, va, [0.5, 0.0, 0.0]))) < 1e-13
+
+
+# -- each protection tolerance at its edge: the documented value in, one double past it out
+
+
+def test_coupling_tolerance_edge():
+    # lam[2, 2] is 0 in the resonant case, so the entrywise distance is exactly x; _COUPLING_TOL = 1e-12
+    def model(x):
+        lam = Coupling("resonant", 0.7).lambda_matrix()
+        lam[2, 2] = x
+        return TwoQubitModel(0.9, 1.1, lam, (SIGMA_MINUS,))
+
+    protection.require_coupling(model(1e-12), Coupling("resonant", 0.7))
+    with pytest.raises(ValueError, match="does not match the resonant coupling case"):
+        protection.require_coupling(model(np.nextafter(1e-12, 1.0)), Coupling("resonant", 0.7))
+
+
+def test_default_controls_tolerance_edge():
+    # sigma_1 + x sigma_3 is Hermitian, traceless and exactly x from sigma_1 entrywise;
+    # model._DEFAULT_CONTROLS_TOL = 1e-12 decides whether the protecting control applies
+    def model(x):
+        controls = (pauli(1) + x * pauli(3), pauli(2), pauli(3))
+        return TwoQubitModel(0.7, 1.1, Coupling("sigma3-sigma1", 0.9).lambda_matrix(), (SIGMA_MINUS,), controls)
+
+    assert model(1e-12).has_default_controls()
+    protecting_control(model(1e-12), -0.5)
+    assert not model(np.nextafter(1e-12, 1.0)).has_default_controls()
+    with pytest.raises(ValueError, match="assumes the default Pauli controls"):
+        protecting_control(model(np.nextafter(1e-12, 1.0)), -0.5)
+
+
+def test_compatibility_tolerance_edge():
+    # pumping at rate e moves the damped pole's residual off zero, about 4 e;
+    # COMPATIBILITY_TOL = 1e-10 holds the last e whose residual is within it
+    def model(e):
+        return make_model(Coupling("sigma3-sigma1", 1.0), jumps=(SIGMA_MINUS, np.sqrt(e) * SIGMA_PLUS))
+
+    inside, outside = float_edge(lambda e: compatibility(model(e), -0.5)[1] <= 1e-10, 0.0, 1e-9)
+    assert compatibility(model(inside), -0.5)[0]
+    protecting_control(model(inside), -0.5)
+    assert not compatibility(model(outside), -0.5)[0]
+    with pytest.raises(IncompatibleDissipationError, match=r"residual 1.000e-10"):
+        protecting_control(model(outside), -0.5)
+
+
+@pytest.mark.parametrize("pole", [0.5, -0.5])
+def test_pole_tolerance_edge(pole):
+    # dephasing holds both poles at every va3, so only _POLE_TOL = 1e-10 decides
+    model = make_model(Coupling("sigma3-sigma1", 1.0), jumps=(0.3 * pauli(3),))
+    inside, outside = float_edge(lambda a: abs(abs(a) - 0.5) <= 1e-10, pole, pole * (1.0 + 4e-10))
+    protecting_control(model, inside)
+    with pytest.raises(ValueError, match=r"va3 must be \+/- 1/2"):
+        protecting_control(model, outside)
+
+
+def test_sphere_tolerance_edge():
+    # vB = (x, 0, 0) inside the sphere: _SPHERE_TOL = 1e-10 holds |vB|^2 >= 1/4 - 1e-10
+    model = compatible_sigma31_model()
+    coupling = Coupling("sigma3-sigma1", 0.9)
+    inside, outside = float_edge(lambda x: abs(x * x - 0.25) <= 1e-10, 0.5, 0.5 - 1e-9)
+    traj, _ = protected_run(model, coupling, -0.5, [inside, 0.0, 0.0], 0.01, 1e-3)
+    assert traj.states[0, 13] == inside
+    with pytest.raises(ValueError, match=r"\|vB\|\^2 must be 1/4, got 0.249999999900"):
+        protected_run(model, coupling, -0.5, [outside, 0.0, 0.0], 0.01, 1e-3)
+
+
+def test_ball_slack_edge():
+    # grid step 1/2 + e puts the vA grid point (e', e', 1/2 + 2 e') a hair outside the ball,
+    # next to the drift zero vA = vB = (0, 0, 1/2); _BALL_SLACK = 1e-12 decides whether it is
+    # swept, so whether the sweep finds a zero
+    def point(e):
+        s = 0.5 + e
+        return np.arange(-0.5, 0.5 + s / 2, s)[[1, 1, 2]]
+
+    inside, outside = float_edge(lambda e: _square_norm(point(e)) <= 0.25 + 1e-12, 0.0, 1e-11)
+    swept = resonant_obstruction_report(1.0, grid_step=0.5 + inside, n_random=0)
+    assert swept["worst_zero_point"] == {"va": point(inside).tolist(), "vb": [0.0, 0.0, 0.5]}
+    left_out = resonant_obstruction_report(1.0, grid_step=0.5 + outside, n_random=0)
+    assert (left_out["n_drift_zero_points"], left_out["worst_zero_point"]) == (0, None)
