@@ -123,12 +123,8 @@ def _square_norms(states) -> tuple:
 
 
 def _norm_defect(full, a, b) -> np.ndarray:
-    """Per state the maximum of ``full - 1``, ``a - 1/4`` and ``b - 1/4``; the norms are not changed."""
-    worst, part = np.empty(np.shape(full)), np.empty(np.shape(full))
-    np.subtract(full, 1.0, out=worst)
-    for block in (a, b):
-        np.maximum(worst, np.subtract(block, 0.25, out=part), out=worst)
-    return worst[()]  # a scalar for one state
+    """Per state the maximum of ``full - 1``, ``a - 1/4`` and ``b - 1/4``; a numpy scalar for one state."""
+    return np.maximum(np.maximum(full - 1.0, a - 0.25), b - 0.25)[()]
 
 
 def physicality_defect(states) -> np.ndarray:

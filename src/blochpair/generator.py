@@ -35,6 +35,9 @@ from .coherence import VA, VAB, VB, lambda_basis
 from .model import TwoQubitModel
 from .quantum import lindblad_apply, pauli
 
+#: largest imaginary entry that :func:`numeric_generator`'s projection may leave
+_COMPLEX_ENTRY_TOL = 1e-12
+
 _T = np.array(
     [
         [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
@@ -157,7 +160,7 @@ def numeric_generator(model: TwoQubitModel, u) -> np.ndarray:
     lam_basis = lambda_basis()
     images = np.array([lindblad_apply(lam_basis[j], h, jumps) for j in range(16)])
     m = np.einsum("ikl,jlk->ij", lam_basis, images)
-    if np.max(np.abs(m.imag)) > 1e-12:
+    if np.max(np.abs(m.imag)) > _COMPLEX_ENTRY_TOL:
         raise AssertionError("generator projection produced complex entries")
     return m.real
 

@@ -52,7 +52,10 @@ from .generator import dissipator_blocks, generator, t_matrices
 from .model import TwoQubitModel
 from .quantum import SIGMA_MINUS
 
-COUPLING_TAGS = ("dispersive", "resonant", "sigma3-sigma1")
+#: the 0-based ``lam`` entries ``(rows, columns)`` each coupling case sets to ``g``: sigma_3 x sigma_3,
+#: sigma_1 x sigma_1 + sigma_2 x sigma_2, and sigma_3 x sigma_1
+_COUPLING_ENTRIES = {"dispersive": ((2,), (2,)), "resonant": ((0, 1), (0, 1)), "sigma3-sigma1": ((2,), (0,))}
+COUPLING_TAGS = tuple(_COUPLING_ENTRIES)
 
 #: residual threshold of the amplitude-damping compatibility condition
 COMPATIBILITY_TOL = 1e-10
@@ -68,6 +71,14 @@ _BALL_SLACK = 1e-12
 _TRANSCRIPTION_U = (0.4, -0.3, 0.6)
 #: drift norm at or below which the obstruction sweep counts a zero
 _DRIFT_TOL = 1e-9
+#: margin below 1/2 under which a ``|vA|`` is off the sphere in the sweep's ``min_drift_off_sphere``
+_OFF_SPHERE_MARGIN = 1e-6
+#: singular values of the dissipation block at or below this floor count as zero in the fixed-point solve
+_RANK_FLOOR = 1e-12
+#: relative residual above which the fixed-point equations have no solution
+_CONSISTENCY_TOL = 1e-9
+#: slack of the fixed-point solve's test for a solution of norm 1/2
+_HALF_SLACK = 1e-9
 #: grid pairs per chunk of the obstruction sweep (whole vB-grid rows), and
 #: twice its random pairs per chunk; chunks this small keep each temporary
 #: near 0.3 MB, so the allocator reuses its memory instead of mapping and
@@ -82,12 +93,9 @@ _AXIS1_STATES = 20
 class Coupling:
     """Named coupling case with strength ``g``.
 
-    The coupling matrix entries are the ``lam`` coefficients of
-    ``H_I = (1/2) sum lam[i, j] sigma_i x sigma_j``:
-
-    * ``dispersive``    -> ``lam[3, 3] = g``
-    * ``resonant``      -> ``lam[1, 1] = lam[2, 2] = g``
-    * ``sigma3-sigma1`` -> ``lam[3, 1] = g``
+    The coupling matrix holds the ``lam`` coefficients of
+    ``H_I = (1/2) sum lam[i, j] sigma_i x sigma_j``: ``g`` at the entries
+    that ``_COUPLING_ENTRIES`` lists for the tag, zero elsewhere.
     """
 
     tag: str
@@ -101,13 +109,7 @@ class Coupling:
 
     def lambda_matrix(self) -> np.ndarray:
         lam = np.zeros((3, 3))
-        if self.tag == "dispersive":
-            lam[2, 2] = self.g
-        elif self.tag == "resonant":
-            lam[0, 0] = self.g
-            lam[1, 1] = self.g
-        else:
-            lam[2, 0] = self.g
+        lam[_COUPLING_ENTRIES[self.tag]] = self.g
         return lam
 
 
@@ -408,27 +410,24 @@ def dispersive_invariant_report(
 
 
 def _affine_solution_set(d_hat: np.ndarray, v0: np.ndarray) -> dict:
-    """Classify the solutions of ``v0 / 2 + d_hat vA = 0``."""
+    """Classify the solutions of ``v0 / 2 + d_hat vA = 0`` for the 3x3 ``d_hat`` of :func:`dissipator_blocks`.
+
+    The set is empty or of dimension ``3 - rank`` (numpy's ``matrix_rank`` tolerance,
+    floored at :data:`_RANK_FLOOR`).  Norms are unbounded along null directions, so a set
+    holds a norm-1/2 point iff its least norm is at most 1/2, or for a point, is 1/2.
+    """
     rhs = -0.5 * v0
     u_svd, s, vt = np.linalg.svd(d_hat)
-    tol = max(d_hat.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > max(tol, 1e-12)))
-    # consistency: rhs must live in the column span
-    proj = u_svd[:, :rank] @ (u_svd[:, :rank].T @ rhs)
-    if np.linalg.norm(rhs - proj) > 1e-9 * max(1.0, np.linalg.norm(rhs)):
+    rank = int(np.sum(s > max(3 * np.finfo(float).eps * s[0], _RANK_FLOOR)))
+    coords = u_svd[:, :rank].T @ rhs
+    if np.linalg.norm(rhs - u_svd[:, :rank] @ coords) > _CONSISTENCY_TOL * max(1.0, np.linalg.norm(rhs)):
         return {"kind": "empty", "dimension": None, "min_norm": None, "has_norm_half": False}
-    particular = vt[:rank].T @ ((u_svd[:, :rank].T @ rhs) / s[:rank])
+    particular = vt[:rank].T @ (coords / s[:rank])
     dim = 3 - rank
     min_norm = float(np.linalg.norm(particular))
-    kinds = {0: "point", 1: "line", 2: "plane", 3: "space"}
-    # the affine set contains a norm-1/2 point iff its minimum norm is
-    # at most 1/2 (norms are unbounded above along null directions)
-    if dim == 0:
-        has_half = abs(min_norm - 0.5) <= 1e-9
-    else:
-        has_half = min_norm <= 0.5 + 1e-9
+    has_half = min_norm <= 0.5 + _HALF_SLACK and (dim > 0 or min_norm >= 0.5 - _HALF_SLACK)
     return {
-        "kind": kinds[dim],
+        "kind": ("point", "line", "plane", "space")[dim],
         "dimension": dim,
         "min_norm": min_norm,
         "solution": particular.tolist(),
@@ -555,7 +554,7 @@ def resonant_obstruction_report(
     if worst is not None:
         k = worst - len(va_grid)  # its index among the random pairs, if it is one
         va, vb = (va_rand[k], vb_rand[k]) if k >= 0 else (va_grid[worst], vb_grid[first_zero[worst]])
-    off_sphere = va_norm < 0.5 - 1e-6
+    off_sphere = va_norm < 0.5 - _OFF_SPHERE_MARGIN
 
     d_hat, v0 = dissipator_blocks(model.jumps)
     solve = _affine_solution_set(d_hat, v0)

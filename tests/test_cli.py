@@ -9,6 +9,7 @@ import pytest
 from blochpair import cli
 from blochpair.cli import main
 from blochpair.coherence import embed_factorized
+from blochpair.dynamics import ControlLaw, PhysicalityError, integrate
 from blochpair.model import TwoQubitModel, load_model, save_model
 from blochpair.protection import Coupling, make_model, resonant_obstruction_report, transcription_report
 from blochpair.quantum import SIGMA_MINUS, pauli
@@ -479,6 +480,25 @@ def test_overflowing_model_reports_one_strict_json_line(damping_model_path, tmp_
     assert result.returncode == 3
     assert result.stderr.count("\n") == 1
     assert json.loads(result.stderr, parse_constant=reject)["error"]["detail"]["defect"] is None
+
+
+def test_diverging_run_reports_the_gate_failure_in_both_commands(tmp_path, capsys):
+    # the README's example model with its jump entry 0.632 made 17 leaves the ball by t = 1 at
+    # step 0.01; both commands exit 3 with integrate's own t and finite defect, and write nothing
+    doc = {"omega_a": 1.0, "omega_b": 1.0, "lambda": [[0.4, 0, 0], [0, 0.4, 0], [0, 0, 0]],
+           "jumps": [[[[0.0, 0.0], [0.0, 0.0]], [[17.0, 0.0], [0.0, 0.0]]]]}
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PhysicalityError) as raised:
+        integrate(load_model(path), cli._initial_state("mixed"), ControlLaw.constant([0.0, 0.0, 0.0]), 1.0, 0.01)
+    expected = {"t": raised.value.t, "defect": raised.value.defect}
+    assert expected["t"] == 1.0 and 1e13 < expected["defect"] < 1e14
+    for command, horizon in (("simulate", "--horizon"), ("purification-scan", "--horizons")):
+        out = tmp_path / f"{command}.out"
+        code, stdout, err = run_cli([command, "--model", path, horizon, "1", "--step", "0.01", "--out", out], capsys)
+        assert (code, stdout) == (3, "")
+        assert json.loads(err)["error"]["detail"] == expected
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_failed_structural_certificate_is_numerical_error(tmp_path, capsys):

@@ -285,6 +285,17 @@ def test_affine_solution_set_reports_an_inconsistent_system():
     assert solve == {"kind": "empty", "dimension": None, "min_norm": None, "has_norm_half": False}
 
 
+@pytest.mark.parametrize(
+    "v0, dist, has_half", [((0.8, 0.0, 0.0), 0.4, True), ((1.2, 0.0, 0.0), 0.6, False)], ids=["near", "far"]
+)
+def test_affine_solution_set_reports_a_plane(v0, dist, has_half):
+    # d_hat pins only vA1 = v0_1 / 2: a plane at that distance, which meets the sphere |vA| = 1/2 iff it is within 1/2
+    solve = protection._affine_solution_set(np.diag([-1.0, 0.0, 0.0]), np.array(v0))
+    assert solve == {
+        "kind": "plane", "dimension": 2, "min_norm": dist, "solution": [dist, 0.0, 0.0], "has_norm_half": has_half
+    }
+
+
 # -- compatibility and the protecting control ---------------------------------
 
 
@@ -868,3 +879,39 @@ def test_ball_slack_edge():
     assert swept["worst_zero_point"] == {"va": point(inside).tolist(), "vb": [0.0, 0.0, 0.5]}
     left_out = resonant_obstruction_report(1.0, grid_step=0.5 + outside, n_random=0)
     assert (left_out["n_drift_zero_points"], left_out["worst_zero_point"]) == (0, None)
+
+
+@pytest.mark.parametrize("floor, kind", [(1.5e-12, "point"), (0.5e-12, "line")], ids=["inside", "outside"])
+def test_rank_floor_edge(floor, kind):
+    # a singular value above _RANK_FLOOR = 1e-12 counts toward the rank; one below it leaves a null direction
+    solve = protection._affine_solution_set(np.diag([1.0, 1.0, floor]), np.array([-1.0, 0.0, 0.0]))
+    assert (solve["kind"], solve["solution"], solve["has_norm_half"]) == (kind, [0.5, 0.0, 0.0], True)
+
+
+@pytest.mark.parametrize("v3, kind", [(1.8e-9, "line"), (2.2e-9, "empty")], ids=["inside", "outside"])
+def test_consistency_tolerance_edge(v3, kind):
+    # the equation for vA3 reads v3 / 2 = 0; _CONSISTENCY_TOL = 1e-9 forgives a residual up to 1e-9
+    solve = protection._affine_solution_set(np.diag([1.0, 1.0, 0.0]), np.array([0.0, 0.0, v3]))
+    assert solve["kind"] == kind
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+@pytest.mark.parametrize("d_hat", [np.eye(3), np.diag([1.0, 1.0, 0.0])], ids=["point", "line"])
+@pytest.mark.parametrize("dist, inside", [(0.9e-9, True), (1.1e-9, False)], ids=["inside", "outside"])
+def test_half_slack_edge(sign, d_hat, dist, inside):
+    # a solution set whose least norm is 1/2 + sign * dist: above 1/2, _HALF_SLACK = 1e-9 decides whether it
+    # holds a norm-1/2 point; below, only for a point, since a line nearer than 1/2 always crosses the sphere
+    solve = protection._affine_solution_set(d_hat, np.array([-(1.0 + 2.0 * sign * dist), 0.0, 0.0]))
+    assert solve["min_norm"] == pytest.approx(0.5 + sign * dist, rel=0, abs=1e-15)
+    assert solve["has_norm_half"] is (inside or (sign < 0 and solve["kind"] == "line"))
+
+
+@pytest.mark.parametrize("d, off_sphere", [(0.9e-6, False), (1.1e-6, True)], ids=["inside", "outside"])
+def test_off_sphere_margin_edge(d, off_sphere):
+    # grid step (1 - d) / 2 puts a vA grid row at |vA| = 1/2 - d, whose smallest drift norm is about d;
+    # it counts toward min_drift_off_sphere only if d exceeds _OFF_SPHERE_MARGIN = 1e-6
+    report = resonant_obstruction_report(0.7, grid_step=(1.0 - d) / 2.0, n_random=0)
+    if off_sphere:
+        assert 0.5 * d < report["min_drift_off_sphere"] < 2.0 * d
+    else:
+        assert report["min_drift_off_sphere"] > 0.3
