@@ -36,8 +36,12 @@ one table of the ``vB`` monomials ``1, b1, b2, b3, b_j b_k`` (``j <= k``)
 of the grid.  A chunk keeps only each row's smallest squared drift norm;
 the few rows that reach the zero bound are multiplied out again for
 their zeros.  The sweep's random pairs go through :func:`drift_batch`
-itself, at most ``_SWEEP_CHUNK // 2`` pairs at a time, and keep only each
-pair's drift norm.  :func:`drift_batch` is the one derivation of the drift.
+itself, at most ``_PAIR_CHUNK`` pairs at a time, and keep only each
+pair's drift norm.  The two sources are reduced in turn, the random pairs
+first: each to a summary of its zero count, its zero of least ``|vA|`` and
+its least drift norm off the sphere, so the draws are freed before the
+grid's coefficients exist.  :func:`drift_batch` is the one derivation of
+the drift.
 """
 
 from __future__ import annotations
@@ -79,12 +83,14 @@ _RANK_FLOOR = 1e-12
 _CONSISTENCY_TOL = 1e-9
 #: slack of the fixed-point solve's test for a solution of norm 1/2
 _HALF_SLACK = 1e-9
-#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows), and
-#: twice its random pairs per chunk; chunks this small keep each temporary
-#: near 0.3 MB, so the allocator reuses its memory instead of mapping and
-#: faulting in fresh pages on every chunk; a chunk keeps only each grid row's
-#: smallest squared norm, or each random pair's norm
+#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows); chunks
+#: this small keep each temporary near 0.3 MB, so the allocator reuses its
+#: memory instead of mapping and faulting in fresh pages on every chunk; a
+#: chunk keeps only each grid row's smallest squared norm
 _SWEEP_CHUNK = 4096
+#: most random pairs per chunk of the obstruction sweep, which keeps only each
+#: pair's norm; at this size a chunk's temporaries peak below those of the draws
+_PAIR_CHUNK = 1024
 #: random ``vA`` blocks at which the axis-1 escape rate is evaluated
 _AXIS1_STATES = 20
 
@@ -465,15 +471,32 @@ def _drift_rows(coef: np.ndarray, mono: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _pair_norms(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
-    """Drift norm of each pair ``(vas[n], vbs[n])``, at most ``_SWEEP_CHUNK // 2`` pairs at a time.
+    """Drift norm of each pair ``(vas[n], vbs[n])``, at most :data:`_PAIR_CHUNK` pairs at a time.
 
     The chunks are of equal size to within one pair, so that none holds a
     single pair (numpy's one-row product may round differently from a
     stack's) and every norm equals that of one :func:`drift_batch` call.
     """
-    n_chunks = max(1, -(-len(vas) // (_SWEEP_CHUNK // 2)))
+    n_chunks = max(1, -(-len(vas) // _PAIR_CHUNK))
     chunks = zip(np.array_split(vas, n_chunks), np.array_split(vbs, n_chunks))
     return np.concatenate([np.sqrt(_square_norm(drift_batch(m, va, vb))) for va, vb in chunks])
+
+
+def _sweep_summary(n_zero: np.ndarray, least: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> tuple:
+    """Zero count, ``(|vA|, pair)`` of the zero of least ``|vA|``, and least drift norm off the sphere.
+
+    Row ``r`` of a sweep source, at ``vA = vas[r]``, has ``n_zero[r]`` drift
+    zeros, the first at ``vB = vbs[r]``, and least drift norm ``least[r]``.
+    A tie goes to the first row; with no zero the pair is None at ``|vA|``
+    infinity.  A NaN norm off the sphere makes that minimum NaN.
+    """
+    va_norm = np.sqrt(_square_norm(vas))
+    hit = np.flatnonzero(n_zero)
+    worst = (np.inf, None)
+    if hit.size:
+        r = hit[np.argmin(va_norm[hit])]
+        worst = (float(va_norm[r]), {"va": vas[r].tolist(), "vb": vbs[r].tolist()})
+    return int(np.sum(n_zero)), worst, np.min(least[va_norm < 0.5 - _OFF_SPHERE_MARGIN], initial=np.inf)
 
 
 def resonant_obstruction_report(
@@ -500,7 +523,8 @@ def resonant_obstruction_report(
     rows whose smallest drift norm is at most :data:`_DRIFT_TOL` are
     searched for zeros.  The random pairs go through :func:`_pair_norms`,
     a bounded chunk at a time; a pair is a zero when its norm is at most
-    :data:`_DRIFT_TOL`.
+    :data:`_DRIFT_TOL`.  Each source is reduced by :func:`_sweep_summary`,
+    the random pairs first; on a tie of ``|vA|`` the grid's zero is reported.
 
     ``grid_step`` must be finite, positive and small enough that some
     point of the ``vA`` grid lies in the ball.  A given ``model`` must
@@ -535,26 +559,17 @@ def resonant_obstruction_report(
         ]
     )
 
-    rng = np.random.default_rng(seed)
-    va_rand, vb_rand = random_factorized_states(rng, n_random)
-
-    # random pairs are not a product grid: they come last below, and are
-    # evaluated first, so that their chunks are freed before the grid's
-    # coefficients exist
-    rand_min = _pair_norms(m, va_rand, vb_rand)
+    # the random pairs are reduced first and their draws dropped, so that none
+    # is held while the grid's coefficients exist
+    va_rand, vb_rand = random_factorized_states(np.random.default_rng(seed), n_random)
+    rand_norms = _pair_norms(m, va_rand, vb_rand)
+    n_rand, rand_worst, rand_off = _sweep_summary(rand_norms <= _DRIFT_TOL, rand_norms, va_rand, vb_rand)
+    del va_rand, vb_rand, rand_norms
     # grid pairs: per vA row, the product of its coefficients and the vB monomial table
     grid_zero, first_zero, grid_min = _drift_rows(_drift_coefficients(m, va_grid), _monomials(vb_grid))
-    n_zero = np.concatenate([grid_zero, rand_min <= _DRIFT_TOL])
-    row_min = np.concatenate([grid_min, rand_min])
-    va_norm = np.sqrt(np.concatenate([_square_norm(va_grid), _square_norm(va_rand)]))
-
-    # ties go to the first row, in the order above, and its first zero; only that pair is looked up
-    hit = np.flatnonzero(n_zero)
-    worst = hit[np.argmin(va_norm[hit])] if hit.size else None
-    if worst is not None:
-        k = worst - len(va_grid)  # its index among the random pairs, if it is one
-        va, vb = (va_rand[k], vb_rand[k]) if k >= 0 else (va_grid[worst], vb_grid[first_zero[worst]])
-    off_sphere = va_norm < 0.5 - _OFF_SPHERE_MARGIN
+    n_grid, grid_worst, grid_off = _sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero])
+    # counts add; the least |vA| wins, the grid's on a tie; np.minimum keeps a NaN
+    min_va_norm, worst = min(grid_worst, rand_worst, key=lambda w: w[0])
 
     d_hat, v0 = dissipator_blocks(model.jumps)
     solve = _affine_solution_set(d_hat, v0)
@@ -566,12 +581,10 @@ def resonant_obstruction_report(
         "n_random": int(n_random),
         "seed": int(seed),
         "drift_tol": _DRIFT_TOL,
-        "n_drift_zero_points": int(np.sum(n_zero)),
-        "min_va_norm_at_zero": None if worst is None else float(va_norm[worst]),
-        "worst_zero_point": (
-            None if worst is None else {"va": va.tolist(), "vb": vb.tolist()}
-        ),
-        "min_drift_off_sphere": float(np.min(row_min[off_sphere], initial=np.inf)),
+        "n_drift_zero_points": n_grid + n_rand,
+        "min_va_norm_at_zero": None if worst is None else min_va_norm,
+        "worst_zero_point": worst,
+        "min_drift_off_sphere": float(np.minimum(grid_off, rand_off)),
         "purity_fixed_point": solve,
     }
 

@@ -14,13 +14,16 @@ fresh arrays, and ``rk4_sampled_reference`` the sampled law's block
 loop built on it: a ``(B, 3)`` time stack, a transposed generator
 stack, fresh maps and ``v = r @ v``.  ``damped_resonant_abscissa`` and
 ``inherited_equilibrium`` are the closed forms of B's asymptote under the
-resonant coupling and a ``sigma_3`` control.  Nothing in the package calls them.
+resonant coupling and a ``sigma_3`` control, and ``purification_floor`` is the
+bound under B's purification margin that holds for every control law.
+Nothing in the package calls them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from blochpair.coherence import from_coherence
 from blochpair.dynamics import ControlLaw
 from blochpair.generator import control_generators
 from blochpair.quantum import (
@@ -187,6 +190,25 @@ def inherited_equilibrium(kappa_minus: float, kappa_plus: float) -> np.ndarray:
     Under the resonant coupling and ``u = (0, 0, u3)`` the product of two copies of it is
     stationary, so B inherits it."""
     return np.array([0.0, 0.0, (kappa_plus - kappa_minus) / (2.0 * (kappa_plus + kappa_minus))])
+
+
+def purification_floor(model, v0, t: float) -> float:
+    """Lower bound on ``1 - Tr rho_B(t)^2`` from the start ``v0``, for every control law.
+
+    With ``K = sum_k L_k^+ L_k`` over ``model.full_jumps()`` and ``gamma = ||K||_2``,
+    ``rho(t) >= V rho0 V^+`` where ``dV/dt = (-i H(t) - K / 2) V`` (drop the jump terms,
+    which are positive), and ``sigma_min(V)^2 >= e^{-gamma t}``.  So
+    ``lambda_min(rho(t)) >= lambda_0 e^{-gamma t}`` with ``lambda_0 = lambda_min(rho0)``.
+    Tracing out A gives ``rho_B >= 2 lambda_min(rho) I``, and a qubit with least eigenvalue
+    ``p <= 1/2`` has ``1 - Tr rho_B^2 = 2 p (1 - p)``, increasing in ``p``.  Hence the floor
+    ``2 mu (1 - mu)`` with ``mu = min(1/2, 2 lambda_0 e^{-gamma t})``; ``H(t)`` never enters
+    (Lindblad, Commun. Math. Phys. 48, 119 (1976)).
+    """
+    k = sum((ell.conj().T @ ell for ell in model.full_jumps()), np.zeros((4, 4)))
+    gamma = np.linalg.norm(k, 2)
+    lam0 = np.linalg.eigvalsh(from_coherence(v0))[0]
+    mu = min(0.5, 2.0 * lam0 * np.exp(-gamma * t))
+    return 2.0 * mu * (1.0 - mu)
 
 
 def ab_slot(i: int, j: int) -> int:

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from blochpair import dynamics
 from blochpair.coherence import VA, VB, _square_norm, embed_factorized, physicality_defect
-from blochpair.coherence import _norm_defect, to_coherence
+from blochpair.coherence import _norm_defect, lambda_basis, to_coherence
 from blochpair.dynamics import (
     _BLOCK,
     ABORT_TOL,
@@ -266,6 +266,52 @@ def test_resonant_asymptote_of_b_matches_its_closed_forms(rng):
             stationary[VB.start - 1 : VB.stop - 1], oracles.inherited_equilibrium(kappa_minus, kappa_plus),
             rtol=0, atol=1e-12,
         )
+
+
+def damped_resonant_model():
+    """The resonant pair of the purification criterion: g = 0.4, unit frequencies, damping 0.1 on A."""
+    return make_model(Coupling("resonant", 0.4), 1.0, 1.0, (np.sqrt(0.1) * SIGMA_MINUS,))
+
+
+def test_purification_floor_holds_under_every_margin_of_the_seeded_scan():
+    # gamma = ||K||_2 = 0.4 and lambda_0 = 1/4 from the maximally mixed pair; the floor is far
+    # below the margins (it decays at gamma, the zero law's margin at 2|alpha| = 0.2)
+    model = damped_resonant_model()
+    horizons = [10.0, 20.0, 40.0, 50.0]
+    floors = [oracles.purification_floor(model, MIXED16, t) for t in horizons]
+    np.testing.assert_allclose(floors, [1.81e-2, 3.35e-4, 1.13e-7, 2.06e-9], rtol=5e-3)
+    laws = [ControlLaw.constant([0.0, 0.0, 0.0], bound=1.0)]
+    laws += random_control_laws(np.random.default_rng(109), 30, 1.0, max(horizons))
+    report = purification_scan(model, MIXED16, laws, horizons, 1e-3)
+    margins = np.array([[p["margin"] for p in e["per_horizon"]] for e in report["entries"]])
+    assert np.all(margins >= floors)
+    np.testing.assert_allclose(margins.min(axis=0), [0.162, 2.15e-2, 3.01e-4, 5.69e-5], rtol=5e-3)
+    # the eigenvalue bound the floor rests on, at every 200th state to t = 20
+    basis = lambda_basis()
+    for law in laws:
+        traj = integrate(model, MIXED16, law, 20.0, 1e-3)
+        rho = np.einsum("ni,ikl->nkl", traj.states[::200], basis)
+        assert np.all(np.linalg.eigvalsh(rho)[:, 0] >= 0.25 * np.exp(-0.4 * traj.times[::200]))
+
+
+def test_constant_controls_purify_b_asymptotically_only_without_transverse_drive():
+    # every constant u in {-1, -1/2, 0, 1/2, 1}^3 is asymptotically stable, and its stationary
+    # state (one 15x15 solve) purifies B exactly when u1 = u2 = 0; the others stay at least
+    # 1e-3 from purity (1.004e-3 at the closest); a pure limit decays no faster than gamma allows
+    model = damped_resonant_model()
+    gamma = np.linalg.norm(sum(ell.conj().T @ ell for ell in model.full_jumps()), 2)
+    levels = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    for u in np.array(np.meshgrid(levels, levels, levels, indexing="ij")).reshape(3, -1).T:
+        m = generator(model, u)
+        abscissa = np.max(np.linalg.eigvals(m[1:, 1:]).real)
+        stationary = np.linalg.solve(m[1:, 1:], -m[1:, 0] / 2.0)
+        vb = stationary[VB.start - 1 : VB.stop - 1]
+        purity_b = 0.5 + 2.0 * vb @ vb
+        assert abscissa < 0.0
+        if u[0] == u[1] == 0.0:
+            assert abs(1.0 - purity_b) <= 1e-12 and 2.0 * abs(abscissa) <= gamma
+        else:
+            assert 1.0 - purity_b >= 1e-3
 
 
 def test_feedback_matches_stage_loop_reference_bit_for_bit(rng):
@@ -1085,7 +1131,38 @@ def test_piecewise_gemm_matches_per_step_loop(rng, breaks, n_steps):
     v0 = to_coherence(random_density_matrix(rng))
     traj = integrate(model, v0, law, n_steps * step, step)
     expected = _stepped(model, v0, breaks, values, n_steps, step)
-    np.testing.assert_allclose(traj.states, expected, rtol=0, atol=1e-14)
+    # rounding grows about linearly with the steps: over 20 seeds of this fixture every case read
+    # at most 1.4e-17 per step from 818 steps up (4.3e-14 at 8,492); the budget doubles that
+    np.testing.assert_allclose(traj.states, expected, rtol=0, atol=max(1e-14, 3e-17 * n_steps))
+
+
+def test_log_norm_bar_bounds_the_piecewise_error_at_every_segment_end(rng):
+    # a step's local error is at most (h||M||)^5/120 e^{h||M||} |v_k|, the tail of e^{hM} past
+    # RK4's Taylor polynomial; the exact flow grows an error, whose c0 entry is 0, by at most
+    # e^{mu t} with mu = lambda_max(sym(M0[1:, 1:])), since the control generators are
+    # antisymmetric on the traceless block to rounding (their symmetric parts read 0 to 4.4e-16,
+    # the rounding of control_generators' subtraction); the bar sums the propagated local bounds
+    step, n_steps = 1e-3, 10_000
+    for _ in range(6):
+        model = random_model(rng)
+        m0, mc = control_generators(model)
+        assert np.max(np.abs(mc[:, 1:, 1:] + mc[:, 1:, 1:].transpose(0, 2, 1))) <= 4 * np.finfo(float).eps
+        mu = np.linalg.eigvalsh(m0[1:, 1:] + m0[1:, 1:].T)[-1] / 2.0
+        breaks = np.unique(np.append(0, rng.integers(1, n_steps, rng.integers(0, 8))))
+        values = rng.uniform(-1.0, 1.0, (len(breaks), 3))
+        v0 = to_coherence(random_density_matrix(rng))
+        law = ControlLaw.piecewise_constant(breaks * step, values, bound=1.0)
+        states = integrate(model, v0, law, n_steps * step, step).states
+        decay = np.exp(-mu * step * np.arange(1, n_steps + 1))  # e^{-mu t_(k+1)}
+        local = np.empty(n_steps)
+        exact = v0
+        for start, stop, u in zip(breaks, np.append(breaks[1:], n_steps), values):
+            m = m0 + np.tensordot(u, mc, 1)
+            x = step * np.linalg.norm(m, 2)
+            local[start:stop] = x**5 / 120.0 * np.exp(x) * np.linalg.norm(states[start:stop], axis=1)
+            exact = expm((stop - start) * step * m) @ exact
+            bar = np.exp(mu * step * stop) * np.sum(local[:stop] * decay[:stop])
+            assert np.linalg.norm(states[stop] - exact) <= bar
 
 
 def test_piecewise_block_ends_are_the_orbit_of_r16(rng):

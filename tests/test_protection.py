@@ -450,10 +450,19 @@ def test_probe_inverse_is_exact():
     np.testing.assert_array_equal(inverse @ _monomials(protection._PROBES), np.eye(10))
 
 
-def obstruction_sweep_reference(g, grid_step, n_random, seed):
-    """The report's sweep as chunks of per-pair drift_batch calls."""
+def with_nan_entry(m):
+    """A copy of the generator ``m`` with one NaN among the vA columns of the vAB rows."""
+    m = m.copy()
+    m[VAB.start + 4, VA.start] = np.nan
+    return m
+
+
+def obstruction_sweep_reference(g, grid_step, n_random, seed, nan_entry=False, draws=random_factorized_states):
+    """The report's sweep as chunks of per-pair drift_batch calls; a NaN norm off the sphere makes that minimum NaN."""
     model = make_model(Coupling("resonant", g), 0.9, 1.1, (SIGMA_MINUS,))
     m = generator(model, np.array([0.3, -0.2, 0.1]))
+    if nan_entry:
+        m = with_nan_entry(m)
     axis = np.arange(-0.5, 0.5 + grid_step / 2.0, grid_step)
     va_grid = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1).T
     va_grid = va_grid[np.einsum("ij,ij->i", va_grid, va_grid) <= 0.25 + 1e-12]
@@ -467,7 +476,7 @@ def obstruction_sweep_reference(g, grid_step, n_random, seed):
         (np.repeat(block, len(vb_grid), axis=0), np.tile(vb_grid, (len(block), 1)))
         for block in np.array_split(va_grid, range(2, len(va_grid), 2))
     ]
-    chunks.append(random_factorized_states(np.random.default_rng(seed), n_random))
+    chunks.append(draws(np.random.default_rng(seed), n_random))
     zeros, min_norm, worst, min_off = 0, np.inf, None, np.inf
     for vas, vbs in chunks:
         wnorm = np.linalg.norm(drift_batch(m, vas, vbs), axis=1)
@@ -478,8 +487,9 @@ def obstruction_sweep_reference(g, grid_step, n_random, seed):
                 min_norm, worst = va_norm[k], {"va": vas[k].tolist(), "vb": vbs[k].tolist()}
         off = va_norm < 0.5 - 1e-6
         if np.any(off):
-            min_off = min(min_off, np.min(wnorm[off]))
+            min_off = np.minimum(min_off, np.min(wnorm[off]))
     return zeros, min_norm, worst, min_off
+
 
 def test_resonant_obstruction_report_requires_resonant_model():
     model = make_model(Coupling("dispersive", 1.0), 0.9, 1.1, (SIGMA_MINUS,))
@@ -588,8 +598,8 @@ def test_drift_rows_on_sweep_coefficients_match_the_per_node_reduction():
     assert got[0].sum() > 0
 
 
-#: random pairs per chunk of the obstruction sweep
-_PAIR_CHUNK = protection._SWEEP_CHUNK // 2
+#: most random pairs per chunk of the obstruction sweep
+_PAIR_CHUNK = protection._PAIR_CHUNK
 
 
 def sweep_generator(g=0.7):
@@ -599,7 +609,9 @@ def sweep_generator(g=0.7):
 
 
 @pytest.mark.parametrize(
-    "n_pairs", [_PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1, 3 * _PAIR_CHUNK + 7]
+    "n_pairs",
+    [_PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1, 2 * _PAIR_CHUNK - 1, 2 * _PAIR_CHUNK, 2 * _PAIR_CHUNK + 1,
+     6 * _PAIR_CHUNK + 7],
 )
 @pytest.mark.parametrize("nan_entry", [False, True], ids=["resonant", "nan-entry"])
 def test_pair_norms_match_one_drift_batch_as_one_column_rows(n_pairs, nan_entry):
@@ -621,14 +633,36 @@ def test_pair_norms_match_one_drift_batch_as_one_column_rows(n_pairs, nan_entry)
         assert norms[-1] == 0.0 and n_zero[-1] == 1
 
 
-@pytest.mark.parametrize("n_random", [_PAIR_CHUNK + 1, 3 * _PAIR_CHUNK + 7])
-def test_resonant_obstruction_report_matches_drift_batch_sweep_over_pair_chunks(n_random):
+_REPORT_PAIRS = [0, _PAIR_CHUNK - 1, _PAIR_CHUNK + 1, 2 * _PAIR_CHUNK + 1, 6 * _PAIR_CHUNK + 7, 10_000]
+
+
+def nan_pair_draws(rng, n):
+    """The sweep's random draws with a NaN in the vB of pair 5, whose vA lies off the sphere."""
+    vas, vbs = random_factorized_states(rng, n)
+    vas[5], vbs[5] = [0.1, 0.0, 0.0], [np.nan, 0.0, 0.0]
+    return vas, vbs
+
+
+@pytest.mark.parametrize(
+    "n_random, nan",
+    [(n, None) for n in _REPORT_PAIRS] + [(2 * _PAIR_CHUNK + 1, "entry"), (2 * _PAIR_CHUNK + 1, "pair")],
+    ids=[str(n) for n in _REPORT_PAIRS] + ["nan-entry", "nan-pair"],
+)
+def test_resonant_obstruction_report_matches_drift_batch_sweep_over_pair_chunks(n_random, nan, monkeypatch):
+    # the report reduces its random pairs and its grid each to a summary; the reference
+    # reduces every pair of both at once.  A NaN generator entry makes every drift NaN: no
+    # zero, and a NaN off-sphere minimum; one NaN random pair makes that minimum NaN alone
+    draws = nan_pair_draws if nan == "pair" else random_factorized_states
+    monkeypatch.setattr(protection, "random_factorized_states", draws)
+    if nan == "entry":
+        monkeypatch.setattr(protection, "generator", lambda model, u: with_nan_entry(generator(model, u)))
     report = resonant_obstruction_report(0.7, grid_step=0.25, n_random=n_random, seed=2)
-    zeros, min_norm, worst, min_off = obstruction_sweep_reference(0.7, 0.25, n_random, 2)
+    zeros, min_norm, worst, min_off = obstruction_sweep_reference(0.7, 0.25, n_random, 2, nan == "entry", draws)
     assert report["n_drift_zero_points"] == zeros
-    assert report["min_va_norm_at_zero"] == min_norm
+    assert report["min_va_norm_at_zero"] == (None if worst is None else min_norm)
     assert report["worst_zero_point"] == worst
-    assert report["min_drift_off_sphere"] == pytest.approx(min_off, rel=0, abs=1e-15)
+    assert report["min_drift_off_sphere"] == pytest.approx(min_off, rel=0, abs=1e-15, nan_ok=True)
+    assert (zeros == 0) == (nan == "entry") and np.isnan(min_off) == (nan is not None)
 
 
 def _traced_peak(f, *args, **kwargs) -> int:
@@ -666,6 +700,12 @@ def test_sweep_end_step_keeps_no_copy_of_the_pairs():
     assert sweep[1] - sweep[0] <= 100 * n_random
 
 
+def test_sweep_peak_holds_no_random_pair_while_the_grid_is_evaluated():
+    # the random pairs are reduced to a summary before the grid's coefficients exist;
+    # holding their draws and norms through the grid phase peaked at 1.56 MB here
+    assert _traced_peak(resonant_obstruction_report, 1.0, grid_step=0.1, n_random=10_000) <= 1.25e6
+
+
 def test_worst_zero_point_among_the_random_pairs(monkeypatch):
     # a planted random pair just inside |vA| = 1/2 with zero drift beats the grid's north
     # pole, |vA| = 1/2 exactly; it is reported from the random part, at its own index
@@ -683,6 +723,27 @@ def test_worst_zero_point_among_the_random_pairs(monkeypatch):
     assert report["n_drift_zero_points"] == clean["n_drift_zero_points"] + 1
     assert report["min_va_norm_at_zero"] == inside
     assert report["worst_zero_point"] == {"va": [0.0, 0.0, inside], "vb": [0.0, 0.0, 0.5]}
+
+
+def test_worst_zero_point_ties_go_to_the_grid(monkeypatch):
+    # a planted random zero at exactly the |vA| of the grid's worst zero loses to the grid's pair;
+    # it still counts
+    south = [0.0, 0.0, -0.5]
+    assert np.linalg.norm(drift_batch(sweep_generator(1.0), south, south)) <= protection._DRIFT_TOL
+
+    def planted(rng, n):
+        vas, vbs = random_factorized_states(rng, n)
+        vas[5], vbs[5] = south, south
+        return vas, vbs
+
+    clean = resonant_obstruction_report(1.0, grid_step=0.25, n_random=50, seed=3)
+    monkeypatch.setattr(protection, "random_factorized_states", planted)
+    report = resonant_obstruction_report(1.0, grid_step=0.25, n_random=50, seed=3)
+    assert clean["min_va_norm_at_zero"] == np.linalg.norm(south) == 0.5
+    assert clean["worst_zero_point"] != {"va": south, "vb": south}
+    assert report["n_drift_zero_points"] == clean["n_drift_zero_points"] + 1
+    assert report["min_va_norm_at_zero"] == 0.5
+    assert report["worst_zero_point"] == clean["worst_zero_point"]
 
 
 @pytest.mark.parametrize("grid_step", [0.0, -0.1, np.nan, np.inf, 1.0])
