@@ -85,14 +85,14 @@ class ControlLaw:
     and hold the first and last sample outside them; state-feedback laws
     call ``callback(t, v)`` with the current 16-component coherence vector.
     Every constructor checks the law as it is built: the kind and its
-    fields, a callable ``callback``, one finite triple per finite, strictly
+    fields, a callable ``callback``, one triple per finite, strictly
     increasing time, ``times[0] == 0`` (piecewise-constant), two samples or
-    more (sampled), and a finite ``bound >= 0`` met by the given values
-    (kept as read-only copies).  During a run only feedback values are
-    checked, at every stage; an interpolation stays in its samples' box.
-    A value meets the bound when its magnitude is at most
-    ``bound + 4 * np.spacing(bound)``, a few ulps of the bound at every
-    scale, so a bound of 0 admits only 0.
+    more (sampled), and a finite ``bound >= 0`` or None.  Every control
+    value, given (kept as read-only copies) or computed at a feedback stage,
+    is finite with a magnitude of at most ``bound + 4 * np.spacing(bound)``,
+    a few ulps of the bound at every scale (a bound of 0 admits only 0);
+    one comparison judges it, with or without a bound, so NaN and +-inf
+    fail for every law.  An interpolation stays in its samples' box.
     """
 
     kind: str
@@ -104,8 +104,10 @@ class ControlLaw:
     def __post_init__(self):
         if self.bound is not None and not (np.isfinite(self.bound) and self.bound >= 0):
             raise ValueError(f"control bound must be finite and >= 0, got {self.bound}")
-        limit = np.inf if self.bound is None else float(self.bound + 4 * np.spacing(self.bound))
+        limit, broken = (float(np.finfo(float).max), "is not finite") if self.bound is None else (
+            float(self.bound + 4 * np.spacing(self.bound)), f"exceeds declared bound {self.bound:.6g}")
         object.__setattr__(self, "_limit", limit)
+        object.__setattr__(self, "_broken", broken)
         if self.kind == "state-feedback":
             if self.times is not None or self.values is not None:
                 raise ValueError("a state-feedback law takes no times or values")
@@ -128,8 +130,8 @@ class ControlLaw:
         values = np.array(self.values, dtype=float).reshape(-1, 3)
         if times.shape[0] != values.shape[0] or times.shape[0] == 0:
             raise ValueError("need one control value per time, at least one")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("control times and values must be finite")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("control times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("control times must be strictly increasing")
         if self.kind == "piecewise-constant" and times[0] != 0.0:
@@ -157,12 +159,9 @@ class ControlLaw:
         return cls("state-feedback", callback=callback, bound=bound)
 
     def _check_bound(self, u: np.ndarray) -> np.ndarray:
-        if self.bound is not None:
-            worst = abs(u).max()
-            if not worst <= self._limit:  # a NaN control fails too
-                raise ValueError(
-                    f"control value {worst:.6g} exceeds declared bound {self.bound:.6g}"
-                )
+        worst = abs(u).max()
+        if not worst <= self._limit:  # a NaN control fails too
+            raise ValueError(f"control value {worst:.6g} {self._broken}")
         return u
 
     def __call__(self, t: float, v: np.ndarray | None = None) -> np.ndarray:
@@ -296,7 +295,7 @@ def integrate(
         :data:`ABORT_TOL` or is not finite, or fails
         :func:`~blochpair.quantum.validate_density_matrix` (a trace other
         than one, ``c0 != 1/2``, or a negative eigenvalue; checked once),
-        or a feedback control computed during the run breaks the law's bound.
+        or a feedback control computed during the run is not finite or breaks the law's bound.
     PhysicalityError
         If a recorded state after the start violates the norm constraints
         by more than :data:`ABORT_TOL`, or is not finite.  The worst
@@ -551,12 +550,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def write_trajectory_json(traj: Trajectory, path) -> None:
     """JSON export mirroring the CSV columns, plus run metadata, streamed one column at a time.
 
-    The bytes equal ``json.dumps({"columns": {...}, "metadata": ...}) + "\\n"``.
+    The bytes equal ``json.dumps({"columns": {...}, "metadata": ...}) + "\\n"``; a NaN or inf raises.
     """
     flat = (c[:, j] for c in _columns(traj) for j in range(c.shape[1]))
     columns = (
-        (", " if i else "") + f"{json.dumps(name)}: {json.dumps(col.tolist())}"
+        (", " if i else "") + f"{json.dumps(name)}: {json.dumps(col.tolist(), allow_nan=False)}"
         for i, (name, col) in enumerate(zip(_CSV_HEADER.split(","), flat))
     )
-    tail = '}, "metadata": ' + json.dumps(traj.metadata) + "}\n"
+    tail = '}, "metadata": ' + json.dumps(traj.metadata, allow_nan=False) + "}\n"
     atomic_write_text(path, itertools.chain(['{"columns": {'], columns, [tail]))

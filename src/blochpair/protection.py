@@ -83,10 +83,10 @@ _RANK_FLOOR = 1e-12
 _CONSISTENCY_TOL = 1e-9
 #: slack of the fixed-point solve's test for a solution of norm 1/2
 _HALF_SLACK = 1e-9
-#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows); chunks
-#: this small keep each temporary near 0.3 MB, so the allocator reuses its
-#: memory instead of mapping and faulting in fresh pages on every chunk; a
-#: chunk keeps only each grid row's smallest squared norm
+#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows), each keeping only
+#: its rows' smallest squared norms; this size holds a grid-step-0.1 report's traced peak
+#: at 1.10 MB, under its 1.25 MB test (16,384 reads 1.96 MB, though it cuts the report's
+#: ~300 minor page faults a call to about 0)
 _SWEEP_CHUNK = 4096
 #: most random pairs per chunk of the obstruction sweep, which keeps only each
 #: pair's norm; at this size a chunk's temporaries peak below those of the draws

@@ -16,10 +16,16 @@ stack, fresh maps and ``v = r @ v``.  ``damped_resonant_abscissa`` and
 ``inherited_equilibrium`` are the closed forms of B's asymptote under the
 resonant coupling and a ``sigma_3`` control, and ``purification_floor`` is the
 bound under B's purification margin that holds for every control law.
+``OBSTRUCTION_COFACTORS`` is the exact certificate of the resonant
+obstruction: ``obstruction_identity_holds`` multiplies it out over Python
+integers against the drift polynomials that ``drift_polynomials`` reads
+off an integer coefficient tensor.
 Nothing in the package calls them.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -216,3 +222,52 @@ def ab_slot(i: int, j: int) -> int:
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError("correlation-slot subscripts must be in {1, 2, 3}")
     return 3 * (i - 1) + (j - 1)
+
+
+#: exponents of ``protection._monomials``' ten monomials ``1, x1, x2, x3, x_j x_k (j <= k)``
+_MONOMIAL_EXPONENTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)] + [
+    tuple(int(i == j) + int(i == k) for i in range(3)) for j, k in zip(*np.triu_indices(3))
+]
+
+#: the resonant obstruction's cofactors times 4: with ``a = vA``, ``b = vB`` and ``w = drift / g``
+#: in ``closed_form_drift``'s order, ``4 (|a|^2 - 1/4) = sum_k q_k w_k + 4 (|b|^2 - 1/4)`` as
+#: polynomials (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, 4th ed.); so on
+#: ``|b| = 1/2`` a zero drift forces ``|a| = 1/2``.  Component -> {exponents of
+#: ``(a1, a2, a3, b1, b2, b3)``: coefficient}; ``w5`` and ``w9`` take none.
+OBSTRUCTION_COFACTORS = {
+    0: {(1, 1, 0, 0, 0, 1): 16, (0, 0, 1, 1, 1, 0): -16},
+    1: {(0, 2, 0, 0, 0, 1): 16, (0, 0, 1, 0, 0, 0): 4},
+    2: {(0, 0, 0, 0, 1, 0): -4},
+    3: {(0, 0, 1, 0, 2, 0): -16, (0, 0, 0, 0, 0, 1): -4},
+    5: {(0, 0, 0, 1, 0, 0): 4},
+    6: {(0, 1, 0, 0, 0, 0): 4},
+    7: {(1, 0, 0, 0, 0, 0): -4},
+}
+
+
+def _poly_sum(terms) -> dict:
+    """Sum of ``(exponents, coefficient)`` terms as a polynomial dict with no zero coefficient."""
+    out = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def drift_polynomials(tensor: np.ndarray) -> list[dict]:
+    """The nine drift components of an integer ``(10, 9, 10)`` tensor ``[vA monomial, component,
+    vB monomial]``, each as {exponents of ``(a1, a2, a3, b1, b2, b3)``: Python int}."""
+    exponents = [(_MONOMIAL_EXPONENTS[i] + _MONOMIAL_EXPONENTS[j], i, j) for i, j in np.ndindex(10, 10)]
+    return [_poly_sum((e, int(tensor[i, k, j])) for e, i, j in exponents) for k in range(9)]
+
+
+def obstruction_identity_holds(w: list[dict], cofactors: dict = OBSTRUCTION_COFACTORS) -> bool:
+    """Whether ``4 (|a|^2 - 1/4) = sum_k q_k w_k + 4 (|b|^2 - 1/4)`` holds exactly, as polynomials."""
+    square = [tuple(2 * (i == n) for i in range(6)) for n in range(6)]  # a1^2 ... b3^2
+    one = ((0,) * 6, -1)
+    products = (
+        (tuple(x + y for x, y in zip(e, f)), c * d)
+        for k, q in cofactors.items()
+        for (e, c), (f, d) in itertools.product(q.items(), w[k].items())
+    )
+    rhs = itertools.chain(products, [(square[n], 4) for n in range(3, 6)], [one])
+    return _poly_sum([(square[n], 4) for n in range(3)] + [one]) == _poly_sum(rhs)

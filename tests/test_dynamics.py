@@ -217,24 +217,35 @@ def test_feedback_nan_control_violates_bound():
         integrate(closed_model(), MIXED16, law, 1.0, 1e-2)
 
 
-@pytest.mark.parametrize("bad", [5.0, math.nan], ids=["over", "nan"])
+@pytest.mark.parametrize(
+    "bad, bound, broken",
+    [
+        (5.0, 1.0, "exceeds declared bound 1"),
+        (math.nan, 1.0, "exceeds declared bound 1"),
+        (math.nan, None, "is not finite"),
+        (math.inf, None, "is not finite"),
+        (-math.inf, None, "is not finite"),
+    ],
+    ids=["over", "nan", "nan-unbounded", "inf-unbounded", "-inf-unbounded"],
+)
 @pytest.mark.parametrize("axis", [0, 1, 2])
-def test_feedback_bound_checked_at_every_stage(bad, axis):
-    # on the grid t = k/4 the law is in bound; only the midpoint stages at t + h/2 break it.
-    # ``law(t, v)`` and ``integrate`` call the law's one stage check, so they raise the same error
+def test_feedback_bound_checked_at_every_stage(bad, bound, broken, axis):
+    # on the grid t = k/4 the law is in bound; only the midpoint stages at t + h/2 break it, and
+    # with no bound a non-finite value breaks it too.  ``law(t, v)`` and ``integrate`` call the
+    # law's one stage check, so they raise the same error
     def callback(t, v):
         u = np.zeros(3)
         if t == 0.375:
             u[axis] = bad
         return u
 
-    law = ControlLaw.feedback(callback, bound=1.0)
+    law = ControlLaw.feedback(callback, bound=bound)
     np.testing.assert_array_equal(law(0.25, MIXED16), np.zeros(3))
     with pytest.raises(ValueError) as via_call:
         law(0.375, MIXED16)
     with pytest.raises(ValueError) as via_integrate:
         integrate(closed_model(), MIXED16, law, 1.0, 0.25)
-    assert str(via_call.value) == str(via_integrate.value) == f"control value {bad:.6g} exceeds declared bound 1"
+    assert str(via_call.value) == str(via_integrate.value) == f"control value {abs(bad):.6g} {broken}"
 
 
 def test_feedback_without_bound_is_not_refused():
@@ -242,8 +253,30 @@ def test_feedback_without_bound_is_not_refused():
     np.testing.assert_array_equal(law(0.0, MIXED16), [5.0, 0.0, 0.0])
     traj = integrate(closed_model(), MIXED16, law, 1.0, 1e-2)
     assert np.all(traj.controls == [5.0, 0.0, 0.0])
-    # with no bound a NaN passes the stage; the physicality gate refuses its run (test_non_finite_states_abort)
-    assert np.isnan(ControlLaw.feedback(lambda t, v: [math.nan, 0.0, 0.0])(0.0, MIXED16)[0])
+    # any finite value passes without a bound; a NaN does not
+    with pytest.raises(ValueError, match="control value nan is not finite"):
+        ControlLaw.feedback(lambda t, v: [math.nan, 0.0, 0.0])(0.0, MIXED16)
+
+
+def test_unbounded_feedback_nan_at_the_final_recorded_state_is_refused():
+    # the last call of a run is the control recorded with its final state; no state is NaN,
+    # so only the law's own check keeps the NaN out of ``controls[-1]`` and the JSON export
+    n_steps = 4
+    calls = iter(range(4 * n_steps + 1))
+    law = ControlLaw.feedback(lambda t, v: [math.nan if next(calls) == 4 * n_steps else 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^control value nan is not finite$"):
+        integrate(closed_model(), MIXED16, law, 1.0, 1.0 / n_steps)
+
+
+@pytest.mark.parametrize("make", [ControlLaw.piecewise_constant, ControlLaw.sampled])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "bound, broken", [(None, "is not finite"), (1.0, "exceeds declared bound 1")], ids=["unbounded", "bounded"]
+)
+def test_open_loop_law_refuses_a_non_finite_value(make, bad, bound, broken):
+    # the given values meet the same one comparison as every feedback stage
+    with pytest.raises(ValueError, match=f"^control value {abs(bad):.6g} {broken}$"):
+        make([0.0, 1.0], [[0.0, 0.0, 0.0], [0.0, bad, 0.0]], bound=bound)
 
 
 def test_resonant_asymptote_of_b_matches_its_closed_forms(rng):
@@ -565,6 +598,16 @@ def test_json_export_streams_columns(tmp_path, rng):
     assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
 
 
+def test_json_export_refuses_a_nan_and_leaves_no_file(tmp_path):
+    # JSON has no NaN; the export raises instead of writing a bare ``NaN`` token
+    controls = np.zeros((3, 3))
+    controls[2, 1] = np.nan
+    traj = Trajectory(times=np.arange(3) * 0.1, states=np.tile(MIXED16, (3, 1)), controls=controls)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_trajectory_json(traj, tmp_path / "t.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exports_copy_no_table_of_the_trajectory(tmp_path, rng):
     # beyond the trajectory, the CSV export holds its two reduced purities and
     # one block of rows; the JSON export also one column as floats and as text
@@ -800,17 +843,18 @@ def test_no_dissipation_constant_full_purity(rng):
 
 
 @pytest.mark.parametrize(
-    "law",
+    "law, start",
     [
-        ControlLaw.feedback(lambda t, v: np.full(3, np.nan)),
-        ControlLaw.constant([1e200, 0.0, 0.0]),
+        # a finite control whose stages overflow: A's rotation at rate 1e200 from a product start
+        (ControlLaw.feedback(lambda t, v: [0.0, 0.0, 1e200]), embed_factorized([0.3, 0.1, 0.2], [0.0, 0.2, 0.3])),
+        (ControlLaw.constant([1e200, 0.0, 0.0]), MIXED16),
     ],
     ids=["nan-feedback", "overflowing-constant"],
 )
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-def test_non_finite_states_abort(law):
+def test_non_finite_states_abort(law, start):
     with pytest.raises(PhysicalityError) as info:
-        integrate(closed_model(), MIXED16, law, 0.1, 1e-2)
+        integrate(closed_model(), start, law, 0.1, 1e-2)
     assert not info.value.defect <= ABORT_TOL
 
 

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from blochpair.protection import (
 )
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
 from conftest import NON_PAULI_CONTROLS, float_edge, random_model
-from oracles import drift_rows
+from oracles import OBSTRUCTION_COFACTORS, drift_polynomials, drift_rows, obstruction_identity_holds
 
 ZERO_U = np.zeros(3)
 PAULIS = np.array([pauli(1), pauli(2), pauli(3)])
@@ -448,6 +449,68 @@ def test_probe_inverse_is_exact():
     inverse = np.linalg.inv(_monomials(protection._PROBES))
     np.testing.assert_array_equal(2.0 * inverse, np.round(2.0 * inverse))
     np.testing.assert_array_equal(inverse @ _monomials(protection._PROBES), np.eye(10))
+
+
+# -- resonant obstruction: the exact certificate and the zero set --------------
+
+
+def resonant_drift_tensor(g, rng):
+    """The (10, 9, 10) tensor ``[vA monomial, component, vB monomial]`` that ``_drift_coefficients``
+    fits, read at its probes, for a random resonant model with damping, dephasing, local
+    frequencies and a control offset."""
+    jumps = (rng.uniform(0.1, 1.0) * SIGMA_MINUS, rng.uniform(0.1, 1.0) * pauli(3))
+    model = make_model(Coupling("resonant", g), *rng.uniform(-2.0, 2.0, 2), jumps)
+    coef = _drift_coefficients(generator(model, rng.uniform(-1.0, 1.0, 3)), protection._PROBES)
+    inverse = np.linalg.inv(_monomials(protection._PROBES))
+    return (inverse.T @ coef.reshape(10, 90)).reshape(10, 9, 10)
+
+
+def test_resonant_drift_is_g_times_integers_and_the_obstruction_identity_is_exact(rng):
+    # 4 (|vA|^2 - 1/4) = sum_k q_k w_k + 4 (|vB|^2 - 1/4) with w = drift / g, multiplied out
+    # over Python integers: on |vB| = 1/2 a zero drift forces |vA| = 1/2, for every vA in R^3
+    for _ in range(20):
+        g = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0)
+        tensor = resonant_drift_tensor(g, rng)
+        integers = np.rint(tensor / g)
+        assert np.max(np.abs(tensor - g * integers)) <= 1e-12
+        assert set(np.unique(integers)) <= {-4.0, -1.0, 0.0, 1.0, 4.0}
+        assert obstruction_identity_holds(drift_polynomials(integers.astype(int)))
+
+
+@pytest.mark.parametrize("component", sorted(OBSTRUCTION_COFACTORS))
+def test_obstruction_identity_fails_with_a_mutated_cofactor(component, rng):
+    w = drift_polynomials(np.rint(resonant_drift_tensor(1.0, rng)).astype(int))
+    mutated = copy.deepcopy(OBSTRUCTION_COFACTORS)
+    exponents = next(iter(mutated[component]))
+    mutated[component][exponents] += 1
+    assert not obstruction_identity_holds(w, mutated)
+
+
+def test_random_pairs_lie_above_the_certified_floor():
+    # on |vA| <= 1/2, |vB| = 1/2 the cofactors have ||q||_2 <= sqrt(11/4) < 1.66, so by
+    # Cauchy-Schwarz |drift| >= |g| (1/4 - |vA|^2) / 1.66; criterion 08's model and draws
+    g = 0.7
+    vas, vbs = random_factorized_states(np.random.default_rng(108), 10_000)
+    norms = np.sqrt(_square_norm(drift_batch(sweep_generator(g), vas, vbs)))
+    assert np.all(norms >= abs(g) * (0.25 - _square_norm(vas)) / 1.66)
+
+
+def test_resonant_drift_vanishes_on_the_zero_set_the_grid_misses(rng):
+    # with |vB| = 1/2 the zeros are the surfaces |vA| = 1/2, vB = R_z(+-pi/2) vA; the sweep's
+    # grid meets them only at the north pole pair, on the sweep's default model (g = 1)
+    m = sweep_generator(1.0)
+    for va, vb in [((0, 0, -0.5), (0, 0, -0.5)), ((0.5, 0, 0), (0, 0.5, 0)), ((0.5, 0, 0), (0, -0.5, 0))]:
+        assert not np.any(drift_batch(m, [va], [vb]))
+    vas = rng.normal(size=(1000, 3))
+    vas *= 0.5 / np.linalg.norm(vas, axis=1, keepdims=True)
+    for sign in (1.0, -1.0):
+        vbs = np.column_stack([-sign * vas[:, 1], sign * vas[:, 0], vas[:, 2]])
+        assert np.max(np.sqrt(_square_norm(drift_batch(m, vas, vbs)))) <= 1e-14
+    # vB = vA is no zero off the z-axis: the closed form gives |drift| = 2 sqrt(2) |g| rho^2,
+    # with rho = |(vA1, vA2)|
+    norms = np.sqrt(_square_norm(drift_batch(m, vas, vas)))
+    np.testing.assert_allclose(norms, 2.0 * np.sqrt(2.0) * _square_norm(vas[:, :2]), rtol=0, atol=1e-14)
+    assert np.all(norms > 0.0)
 
 
 def with_nan_entry(m):
