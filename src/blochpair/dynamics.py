@@ -529,6 +529,8 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
     except OSError as exc:  # name the requested file, not the random temporary one
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
+        os.umask(umask := os.umask(0o077))  # reads the umask, which only setting it returns
+        os.chmod(tmp, 0o666 & ~umask)  # as open() would make it: mkstemp's 0600 survives the rename
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)

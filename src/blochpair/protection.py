@@ -35,13 +35,15 @@ coefficients ``(n_vA, 9, 10)``, a chunk of ``vA`` rows at a time, with
 one table of the ``vB`` monomials ``1, b1, b2, b3, b_j b_k`` (``j <= k``)
 of the grid.  A chunk keeps only each row's smallest squared drift norm;
 the few rows that reach the zero bound are multiplied out again for
-their zeros.  The sweep's random pairs go through :func:`drift_batch`
-itself, at most ``_PAIR_CHUNK`` pairs at a time, and keep only each
-pair's drift norm.  The two sources are reduced in turn, the random pairs
-first: each to a summary of its zero count, its zero of least ``|vA|`` and
-its least drift norm off the sphere, so the draws are freed before the
-grid's coefficients exist.  :func:`drift_batch` is the one derivation of
-the drift.
+their zeros.  The rows go from the sphere ``|vA| = 1/2`` inward, and the
+sweep stops where the obstruction's certified floor covers every row
+left.  The random pairs go through :func:`drift_batch` itself, at most
+``_PAIR_CHUNK`` pairs at a time, and keep only each pair's drift norm.
+The two sources are reduced in turn, the random pairs first: each to a
+summary of its zero count, its zero of least ``|vA|`` and its least
+drift norm off the sphere, so the draws are freed before the grid's
+coefficients exist.  :func:`drift_batch` is the one derivation of the
+drift.
 """
 
 from __future__ import annotations
@@ -75,6 +77,13 @@ _BALL_SLACK = 1e-12
 _TRANSCRIPTION_U = (0.4, -0.3, 0.6)
 #: drift norm at or below which the obstruction sweep counts a zero
 _DRIFT_TOL = 1e-9
+#: bound on the cofactors of the resonant obstruction: with ``a = vA``, ``b = vB``, ``w = drift / g``,
+#: ``|a|^2 - 1/4 = q . w + (|b|^2 - 1/4)`` as polynomials for ``q = (4 (a1 a2 b3 - a3 b1 b2),
+#: 4 a2^2 b3 + a3, -b2, -(4 a3 b2^2 + b3), 0, b1, a2, -a1, 0)`` (exact in ``tests/oracles.py``).
+#: On ``|a| <= 1/2``, ``|b| = 1/2``: ``|q1| <= 1/2``, ``|q2|, |q4| <= 1``, ``q3^2 + q6^2 <= 1/4``,
+#: ``q7^2 + q8^2 <= 1/4``, so ``|q| <= sqrt(11/4) < 1.66`` and by Cauchy-Schwarz the drift's
+#: certified floor is ``|drift| >= |g| (1/4 - |vA|^2) / 1.66``
+_COFACTOR_BOUND = 1.66
 #: margin below 1/2 under which a ``|vA|`` is off the sphere in the sweep's ``min_drift_off_sphere``
 _OFF_SPHERE_MARGIN = 1e-6
 #: singular values of the dissipation block at or below this floor count as zero in the fixed-point solve
@@ -519,12 +528,21 @@ def resonant_obstruction_report(
     dissipation and report whether any solution has norm ``1/2`` (the
     only way full purity can survive the noise).
 
-    Each ``vA`` row of the grid goes through :func:`_drift_rows`: only the
-    rows whose smallest drift norm is at most :data:`_DRIFT_TOL` are
-    searched for zeros.  The random pairs go through :func:`_pair_norms`,
-    a bounded chunk at a time; a pair is a zero when its norm is at most
-    :data:`_DRIFT_TOL`.  Each source is reduced by :func:`_sweep_summary`,
+    The random pairs go through :func:`_pair_norms`, a bounded chunk at a
+    time; a pair is a zero when its norm is at most :data:`_DRIFT_TOL`.  The
+    ``vA`` rows of the grid go through :func:`_drift_rows` a chunk at a time,
+    from the sphere inward, so each row's certified floor
+    ``|g| (1/4 - |vA|^2) / 1.66`` (:data:`_COFACTOR_BOUND`), less an allowance
+    ``_DRIFT_TOL max(1, |g|)`` for rounding, is no lower than the last.  The
+    sweep stops at the first floor above both :data:`_DRIFT_TOL` and the least
+    off-sphere norm so far, the random pairs' included: no later row can hold
+    a zero or lower that norm, so each keeps zero count 0 and norm +inf, and
+    every field but ``certificate`` is that of the full grid.  A non-finite
+    coefficient, or a random pair below its own floor, voids the floor, and
+    every row is evaluated.  Each source is reduced by :func:`_sweep_summary`,
     the random pairs first; on a tie of ``|vA|`` the grid's zero is reported.
+    ``certificate`` holds ``|g| / 1.66``, the rows evaluated and certified and
+    the random pairs below their floor.
 
     ``grid_step`` must be finite, positive and small enough that some
     point of the ``vA`` grid lies in the ball.  A given ``model`` must
@@ -549,30 +567,37 @@ def resonant_obstruction_report(
         raise ValueError(f"grid_step {grid_step} puts no vA grid point in the ball |vA| <= 1/2")
 
     theta = np.arange(0.0, np.pi + grid_step / 2.0, grid_step)
-    phi = np.arange(0.0, 2.0 * np.pi, grid_step)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    tt, pp = np.meshgrid(theta, np.arange(0.0, 2.0 * np.pi, grid_step), indexing="ij")
     vb_grid = 0.5 * np.column_stack(
-        [
-            (np.sin(tt) * np.cos(pp)).ravel(),
-            (np.sin(tt) * np.sin(pp)).ravel(),
-            np.cos(tt).ravel(),
-        ]
+        [(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()]
     )
 
     # the random pairs are reduced first and their draws dropped, so that none
-    # is held while the grid's coefficients exist
+    # is held while the grid's coefficients exist; each spot-checks the floor
     va_rand, vb_rand = random_factorized_states(np.random.default_rng(seed), n_random)
     rand_norms = _pair_norms(m, va_rand, vb_rand)
     n_rand, rand_worst, rand_off = _sweep_summary(rand_norms <= _DRIFT_TOL, rand_norms, va_rand, vb_rand)
+    floor_coef, allowance = abs(g) / _COFACTOR_BOUND, _DRIFT_TOL * max(1.0, abs(g))
+    n_below = int(np.count_nonzero(rand_norms < floor_coef * (0.25 - _square_norm(va_rand)) - allowance))
     del va_rand, vb_rand, rand_norms
-    # grid pairs: per vA row, the product of its coefficients and the vB monomial table
-    grid_zero, first_zero, grid_min = _drift_rows(_drift_coefficients(m, va_grid), _monomials(vb_grid))
+    # grid rows from the sphere inward, until a floor clears the least norm off the sphere so far;
+    # once that norm is NaN, so is the report's, and only the zero bound is left to clear
+    coef, mono, va_sq = _drift_coefficients(m, va_grid), _monomials(vb_grid), _square_norm(va_grid)
+    prune = bool(np.all(np.isfinite(coef))) and n_below == 0
+    order, off, n = np.argsort(-va_sq, kind="stable"), np.sqrt(va_sq) < 0.5 - _OFF_SPHERE_MARGIN, len(va_grid)
+    floor = floor_coef * (0.25 - va_sq[order]) - allowance
+    grid_zero, first_zero, grid_min = np.zeros(n, np.intp), np.zeros(n, np.intp), np.full(n, np.inf)
+    best, done, chunk = rand_off, 0, max(1, _SWEEP_CHUNK // mono.shape[1])
+    while done < n and not (prune and floor[done] > np.fmax(best, _DRIFT_TOL)):
+        rows = order[done : done + chunk]
+        grid_zero[rows], first_zero[rows], grid_min[rows] = _drift_rows(coef[rows], mono)
+        best = np.minimum(best, np.min(grid_min[rows][off[rows]], initial=np.inf))
+        done += len(rows)
     n_grid, grid_worst, grid_off = _sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero])
     # counts add; the least |vA| wins, the grid's on a tie; np.minimum keeps a NaN
     min_va_norm, worst = min(grid_worst, rand_worst, key=lambda w: w[0])
 
-    d_hat, v0 = dissipator_blocks(model.jumps)
-    solve = _affine_solution_set(d_hat, v0)
+    solve = _affine_solution_set(*dissipator_blocks(model.jumps))
 
     return {
         "coupling": "resonant",
@@ -586,6 +611,12 @@ def resonant_obstruction_report(
         "worst_zero_point": worst,
         "min_drift_off_sphere": float(np.minimum(grid_off, rand_off)),
         "purity_fixed_point": solve,
+        "certificate": {
+            "floor_coefficient": floor_coef,
+            "grid_rows_evaluated": done,
+            "grid_rows_certified": n - done,
+            "random_pairs_below_floor": n_below,
+        },
     }
 
 

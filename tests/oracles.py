@@ -19,7 +19,8 @@ bound under B's purification margin that holds for every control law.
 ``OBSTRUCTION_COFACTORS`` is the exact certificate of the resonant
 obstruction: ``obstruction_identity_holds`` multiplies it out over Python
 integers against the drift polynomials that ``drift_polynomials`` reads
-off an integer coefficient tensor.
+off an integer coefficient tensor.  ``full_grid_report`` is the obstruction
+report with its grid unpruned: every row of it evaluated.
 Nothing in the package calls them.
 """
 
@@ -29,6 +30,7 @@ import itertools
 
 import numpy as np
 
+from blochpair import protection
 from blochpair.coherence import from_coherence
 from blochpair.dynamics import ControlLaw
 from blochpair.generator import control_generators
@@ -271,3 +273,43 @@ def obstruction_identity_holds(w: list[dict], cofactors: dict = OBSTRUCTION_COFA
     )
     rhs = itertools.chain(products, [(square[n], 4) for n in range(3, 6)], [one])
     return _poly_sum([(square[n], 4) for n in range(3)] + [one]) == _poly_sum(rhs)
+
+
+def full_grid_report(g: float, grid_step: float, n_random: int, seed: int, model=None) -> dict:
+    """``protection.resonant_obstruction_report`` without its ``certificate``, with no row pruned:
+    ``_drift_rows`` over every ``vA`` row of the grid, reduced by ``_sweep_summary``.
+
+    The generator and the random draws are read from ``protection`` when called, so a test that
+    patches them there patches both routes."""
+    p = protection
+    if model is None:
+        model = p.make_model(p.Coupling("resonant", g), omega_a=0.9, omega_b=1.1, jumps=(p.SIGMA_MINUS,))
+    m = p.generator(model, np.array([0.3, -0.2, 0.1]))
+    axis = np.arange(-0.5, 0.5 + grid_step / 2.0, grid_step)
+    ga, gb, gc = np.meshgrid(axis, axis, axis, indexing="ij")
+    va_grid = np.column_stack([ga.ravel(), gb.ravel(), gc.ravel()])
+    va_grid = va_grid[p._square_norm(va_grid) <= 0.25 + p._BALL_SLACK]
+    tt, pp = np.meshgrid(np.arange(0.0, np.pi + grid_step / 2.0, grid_step), np.arange(0.0, 2.0 * np.pi, grid_step),
+                         indexing="ij")
+    vb_grid = 0.5 * np.column_stack(
+        [(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()]
+    )
+    va_rand, vb_rand = p.random_factorized_states(np.random.default_rng(seed), n_random)
+    norms = p._pair_norms(m, va_rand, vb_rand)
+    n_rand, rand_worst, rand_off = p._sweep_summary(norms <= p._DRIFT_TOL, norms, va_rand, vb_rand)
+    grid_zero, first_zero, grid_min = p._drift_rows(p._drift_coefficients(m, va_grid), p._monomials(vb_grid))
+    n_grid, grid_worst, grid_off = p._sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero])
+    min_va_norm, worst = min(grid_worst, rand_worst, key=lambda w: w[0])
+    return {
+        "coupling": "resonant",
+        "g": float(g),
+        "grid_step": float(grid_step),
+        "n_random": int(n_random),
+        "seed": int(seed),
+        "drift_tol": p._DRIFT_TOL,
+        "n_drift_zero_points": n_grid + n_rand,
+        "min_va_norm_at_zero": None if worst is None else min_va_norm,
+        "worst_zero_point": worst,
+        "min_drift_off_sphere": float(np.minimum(grid_off, rand_off)),
+        "purity_fixed_point": p._affine_solution_set(*p.dissipator_blocks(model.jumps)),
+    }

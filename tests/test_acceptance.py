@@ -233,6 +233,10 @@ def test_criterion_08_resonant_obstruction_sweep():
     found = report["n_drift_zero_points"]
     min_norm = report["min_va_norm_at_zero"]
     ok = found > 0 and min_norm >= 0.5 - 1e-6 and elapsed < 60.0
+    # the certified floor covers all but the 210 rows nearest |vA| = 1/2, and no random pair refutes it
+    certificate = report["certificate"]
+    assert (certificate["grid_rows_evaluated"], certificate["grid_rows_certified"]) == (210, 3959)
+    assert certificate["random_pairs_below_floor"] == 0
     _report(
         8,
         ok,

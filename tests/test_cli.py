@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -975,3 +977,33 @@ def test_default_out_uses_env_var(args, name, damping_model_path, tmp_path, caps
     assert list(summary)[0] == "out"
     assert summary["out"] == str(tmp_path / name)
     assert (tmp_path / name).exists()
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--horizon", "0.5", "--step", "1e-2"],
+        ["simulate", "--horizon", "0.5", "--step", "1e-2", "--format", "json"],
+        ["analyze-w", "--case", "resonant", "--grid-step", "0.25", "--random-samples", "10"],
+        ["purification-scan", "--laws", "1", "--horizons", "0.1", "--step", "1e-2"],
+    ],
+    ids=["simulate-csv", "simulate-json", "analyze-w", "purification-scan"],
+)
+def test_outputs_take_the_mode_of_a_new_file_under_the_umask(args, umask, damping_model_path, tmp_path, capsys):
+    # the atomic write's mkstemp temporary is 0600, and the rename kept it: every output read
+    # -rw------- where a plain new file reads -rw-r--r-- under umask 022
+    if args[0] != "analyze-w":
+        args = args + ["--model", damping_model_path]
+    out = tmp_path / "out"
+    code, _, _ = run_cli(args + ["--out", out], capsys)
+    assert code == 0
+    touched = tmp_path / "touched"
+    touched.touch()
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(touched.stat().st_mode) == 0o666 & ~umask

@@ -1,4 +1,5 @@
 import copy
+import json
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from blochpair.protection import (
 )
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
 from conftest import NON_PAULI_CONTROLS, float_edge, random_model
-from oracles import OBSTRUCTION_COFACTORS, drift_polynomials, drift_rows, obstruction_identity_holds
+from oracles import OBSTRUCTION_COFACTORS, drift_polynomials, drift_rows, full_grid_report, obstruction_identity_holds
 
 ZERO_U = np.zeros(3)
 PAULIS = np.array([pauli(1), pauli(2), pauli(3)])
@@ -807,6 +808,79 @@ def test_worst_zero_point_ties_go_to_the_grid(monkeypatch):
     assert report["n_drift_zero_points"] == clean["n_drift_zero_points"] + 1
     assert report["min_va_norm_at_zero"] == 0.5
     assert report["worst_zero_point"] == clean["worst_zero_point"]
+
+
+# -- the certified floor prunes the grid ---------------------------------------
+
+#: vA rows of the obstruction grid at each step
+_GRID_ROWS = {0.25: 33, 0.1: 515, 0.05: 4169}
+#: strong amplitude damping and dephasing on qubit A
+_STRONG_NOISE = make_model(Coupling("resonant", 0.7), 0.9, 1.1, (2.0 * SIGMA_MINUS, 1.5 * pauli(3)))
+
+
+def pruned_certificate(g, grid_step, n_random, seed=1, model=None):
+    """The report's certificate, after checking every other field byte for byte against the full grid."""
+    report = resonant_obstruction_report(g, grid_step=grid_step, n_random=n_random, seed=seed, model=model)
+    certificate = report.pop("certificate")
+    assert json.dumps(report) == json.dumps(full_grid_report(g, grid_step, n_random, seed, model))
+    assert certificate["grid_rows_evaluated"] + certificate["grid_rows_certified"] == _GRID_ROWS[grid_step]
+    assert certificate["floor_coefficient"] == abs(g) / 1.66
+    return certificate
+
+
+@pytest.mark.parametrize("grid_step", [0.25, 0.1, 0.05])
+@pytest.mark.parametrize("g", [1.0, 0.7, -0.4, 0.0, 1e6])
+def test_pruned_obstruction_report_equals_the_full_grid(g, grid_step):
+    # the rows the floor covers can change no field; at g = 0 there is no floor and no row is covered
+    certificate = pruned_certificate(g, grid_step, 10_000)
+    assert certificate["random_pairs_below_floor"] == 0
+    assert (certificate["grid_rows_certified"] > 0) == (g != 0.0)
+
+
+@pytest.mark.parametrize(
+    "grid_step, n_random, model, certified",
+    [(0.25, 0, None, 0), (0.1, 0, None, 461), (0.05, 0, None, 3959), (0.1, 10_000, _STRONG_NOISE, 461),
+     (0.05, 0, _STRONG_NOISE, 3959)],
+    ids=["0.25-no-pairs", "0.1-no-pairs", "0.05-no-pairs", "0.1-strong-noise", "0.05-strong-noise-no-pairs"],
+)
+def test_pruned_obstruction_report_equals_the_full_grid_without_pairs_and_under_strong_noise(
+    grid_step, n_random, model, certified
+):
+    # with no random pair the least norm starts at +inf (at step 0.25 no grid row then lowers it
+    # below a floor); the drift, and so the floor, ignores the noise
+    certificate = pruned_certificate(0.7, grid_step, n_random, model=model)
+    assert certificate["random_pairs_below_floor"] == 0 and certificate["grid_rows_certified"] == certified
+
+
+@pytest.mark.parametrize("n_random", [0, 10_000])
+def test_a_nan_generator_entry_voids_the_floor(n_random, monkeypatch):
+    # every coefficient of one drift component is NaN: nothing is certified, and every row is evaluated
+    monkeypatch.setattr(protection, "generator", lambda model, u: with_nan_entry(generator(model, u)))
+    certificate = pruned_certificate(0.7, 0.1, n_random)
+    assert certificate["grid_rows_certified"] == 0 and certificate["random_pairs_below_floor"] == 0
+
+
+def test_a_random_pair_below_its_floor_voids_the_floor(monkeypatch):
+    # the generator scaled by s scales the drift by s: at s = 1 the floor prunes, and once s takes
+    # a random pair below its floor, the floor is refuted at run time and every row is evaluated
+    for s in (1.0, 0.8, 0.6, 0.4, 0.2):
+        monkeypatch.setattr(protection, "generator", lambda model, u, s=s: s * generator(model, u))
+        certificate = pruned_certificate(1.0, 0.1, 10_000)
+        if certificate["random_pairs_below_floor"]:
+            break
+        assert certificate["grid_rows_certified"] > 0, s
+    assert s < 1.0 and certificate["grid_rows_certified"] == 0
+
+
+def test_pruning_pins_the_rows_evaluated_for_the_benchmark_case():
+    # the obstruction-sweep workload's report: g = 1, grid step 0.1, seed 1 and 10,000 random pairs
+    report = resonant_obstruction_report(1.0, grid_step=0.1, n_random=10_000, seed=1)
+    assert report["certificate"] == {
+        "floor_coefficient": 1.0 / 1.66,
+        "grid_rows_evaluated": 54,
+        "grid_rows_certified": 461,
+        "random_pairs_below_floor": 0,
+    }
 
 
 @pytest.mark.parametrize("grid_step", [0.0, -0.1, np.nan, np.inf, 1.0])
