@@ -59,9 +59,25 @@ def t_matrices() -> np.ndarray:
 
 
 def _pauli_coefficients(h: np.ndarray) -> np.ndarray:
-    """Coefficients ``alpha_j = Tr(h sigma_j)`` of a 2x2 matrix; its identity part drops out."""
-    h = np.asarray(h, dtype=complex)
-    return np.array([np.trace(h @ pauli(j)).real for j in (1, 2, 3)])
+    """Coefficients ``alpha_j = Tr(h sigma_j)`` of a 2x2 matrix; its identity part drops out.
+
+    They are read off the entries as ``Re(h01 + h10)``, ``Im(h10) - Im(h01)`` and
+    ``Re(h00 - h11)``.  The read is exact: every product in ``Tr(h @ sigma_j)`` is
+    by 0, +-1 or +-i, and the products by 0 add only signed zeros.  The trace's sums
+    start from +0, so adding +0 here gives a zero coefficient the trace's sign, and
+    for finite ``h`` the result is the trace's to the bit (``tests/oracles.py``
+    keeps the trace to check it).
+    """
+    (h00, h01), (h10, h11) = np.asarray(h, dtype=complex).tolist()
+    return np.array([(h01 + h10).real + 0.0, -h01.imag + h10.imag + 0.0, (h00 - h11).real + 0.0])
+
+
+def _finite_control(u) -> np.ndarray:
+    """``u`` as a float 3-vector; ``ValueError`` if an entry is NaN or infinite."""
+    u = np.asarray(u, dtype=float).reshape(3)
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"control value u must be finite, got {u.tolist()}")
+    return u
 
 
 def _rotation_generator(h: np.ndarray) -> np.ndarray:
@@ -112,7 +128,7 @@ def assemble_blocks(model: TwoQubitModel, u) -> GeneratorBlocks:
     ``h_ib = sum_j lam[:, j] x T_j`` (rows of ``lam`` against the
     A rotation generators, columns against the B ones).
     """
-    u = np.asarray(u, dtype=float).reshape(3)
+    u = _finite_control(u)
     h_a = _rotation_generator(model.hamiltonian_a(u))
     h_b = _rotation_generator(model.hamiltonian_b())
     lam = model.lam
@@ -154,8 +170,7 @@ def numeric_generator(model: TwoQubitModel, u) -> np.ndarray:
     which makes this the reference implementation the closed-form
     assembly is checked against.
     """
-    u = np.asarray(u, dtype=float).reshape(3)
-    h = model.hamiltonian(u)
+    h = model.hamiltonian(_finite_control(u))
     jumps = model.full_jumps()
     lam_basis = lambda_basis()
     images = np.array([lindblad_apply(lam_basis[j], h, jumps) for j in range(16)])

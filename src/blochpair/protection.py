@@ -144,13 +144,29 @@ def require_coupling(model: TwoQubitModel, coupling: Coupling) -> None:
         raise ValueError(f"model coupling matrix does not match the {coupling.tag} coupling case")
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an ``(n, 3)`` array, as an ``(n, 1)`` column."""
+    norms = x[:, 0] * x[:, 0]
+    square = x[:, 1] * x[:, 1]
+    norms += square
+    norms += np.multiply(x[:, 2], x[:, 2], out=square)
+    return np.sqrt(norms, out=norms)[:, None]
+
+
 def random_factorized_states(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays ``(vA (n,3), vB (n,3))``: vA uniform in the half-ball radius, vB on the sphere."""
+    """Arrays ``(vA (n,3), vB (n,3))``: vA uniform in the half-ball radius, vB on the sphere.
+
+    Each normal draw is scaled by its row norm, summed by columns as
+    ``(x1 x1 + x2 x2) + x3 x3`` in place.  That is the sum, in the same order,
+    that ``np.linalg.norm(x, axis=1)`` takes over rows of three, so the draws are
+    its to the bit (``tests/oracles.py`` keeps the ``linalg.norm`` route to check
+    it) without its ``(n, 3)`` array of squares.
+    """
     va = rng.normal(size=(n, 3))
-    va /= np.linalg.norm(va, axis=1, keepdims=True)
+    va /= _row_norms(va)
     va *= 0.5 * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / 3.0)
     vb = rng.normal(size=(n, 3))
-    vb /= 2.0 * np.linalg.norm(vb, axis=1, keepdims=True)
+    vb /= 2.0 * _row_norms(vb)
     return va, vb
 
 
@@ -491,15 +507,17 @@ def _pair_norms(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
     return np.concatenate([np.sqrt(_square_norm(drift_batch(m, va, vb))) for va, vb in chunks])
 
 
-def _sweep_summary(n_zero: np.ndarray, least: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> tuple:
+def _sweep_summary(
+    n_zero: np.ndarray, least: np.ndarray, vas: np.ndarray, vbs: np.ndarray, va_sq: np.ndarray
+) -> tuple:
     """Zero count, ``(|vA|, pair)`` of the zero of least ``|vA|``, and least drift norm off the sphere.
 
-    Row ``r`` of a sweep source, at ``vA = vas[r]``, has ``n_zero[r]`` drift
-    zeros, the first at ``vB = vbs[r]``, and least drift norm ``least[r]``.
-    A tie goes to the first row; with no zero the pair is None at ``|vA|``
-    infinity.  A NaN norm off the sphere makes that minimum NaN.
+    Row ``r`` of a sweep source, at ``vA = vas[r]`` with ``|vA|^2 = va_sq[r]``,
+    has ``n_zero[r]`` drift zeros, the first at ``vB = vbs[r]``, and least drift
+    norm ``least[r]``.  A tie goes to the first row; with no zero the pair is
+    None at ``|vA|`` infinity.  A NaN norm off the sphere makes that minimum NaN.
     """
-    va_norm = np.sqrt(_square_norm(vas))
+    va_norm = np.sqrt(va_sq)
     hit = np.flatnonzero(n_zero)
     worst = (np.inf, None)
     if hit.size:
@@ -575,11 +593,11 @@ def resonant_obstruction_report(
     # the random pairs are reduced first and their draws dropped, so that none
     # is held while the grid's coefficients exist; each spot-checks the floor
     va_rand, vb_rand = random_factorized_states(np.random.default_rng(seed), n_random)
-    rand_norms = _pair_norms(m, va_rand, vb_rand)
-    n_rand, rand_worst, rand_off = _sweep_summary(rand_norms <= _DRIFT_TOL, rand_norms, va_rand, vb_rand)
+    rand_norms, rand_sq = _pair_norms(m, va_rand, vb_rand), _square_norm(va_rand)
+    n_rand, rand_worst, rand_off = _sweep_summary(rand_norms <= _DRIFT_TOL, rand_norms, va_rand, vb_rand, rand_sq)
     floor_coef, allowance = abs(g) / _COFACTOR_BOUND, _DRIFT_TOL * max(1.0, abs(g))
-    n_below = int(np.count_nonzero(rand_norms < floor_coef * (0.25 - _square_norm(va_rand)) - allowance))
-    del va_rand, vb_rand, rand_norms
+    n_below = int(np.count_nonzero(rand_norms < floor_coef * (0.25 - rand_sq) - allowance))
+    del va_rand, vb_rand, rand_norms, rand_sq
     # grid rows from the sphere inward, until a floor clears the least norm off the sphere so far;
     # once that norm is NaN, so is the report's, and only the zero bound is left to clear
     coef, mono, va_sq = _drift_coefficients(m, va_grid), _monomials(vb_grid), _square_norm(va_grid)
@@ -593,7 +611,7 @@ def resonant_obstruction_report(
         grid_zero[rows], first_zero[rows], grid_min[rows] = _drift_rows(coef[rows], mono)
         best = np.minimum(best, np.min(grid_min[rows][off[rows]], initial=np.inf))
         done += len(rows)
-    n_grid, grid_worst, grid_off = _sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero])
+    n_grid, grid_worst, grid_off = _sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero], va_sq)
     # counts add; the least |vA| wins, the grid's on a tie; np.minimum keeps a NaN
     min_va_norm, worst = min(grid_worst, rand_worst, key=lambda w: w[0])
 

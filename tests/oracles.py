@@ -21,6 +21,10 @@ obstruction: ``obstruction_identity_holds`` multiplies it out over Python
 integers against the drift polynomials that ``drift_polynomials`` reads
 off an integer coefficient tensor.  ``full_grid_report`` is the obstruction
 report with its grid unpruned: every row of it evaluated.
+``pauli_coefficients`` takes ``Tr(h sigma_j)`` as traces of complex 2x2
+products, and ``random_factorized_states`` norms its draws with
+``np.linalg.norm``; the package reads the first off the matrix entries and sums
+the second by columns, to the same bits.
 Nothing in the package calls them.
 """
 
@@ -38,6 +42,7 @@ from blochpair.quantum import (
     HERMITICITY_TOL,
     hermiticity_defect,
     lindblad_apply,
+    pauli,
     validate_density_matrix,
 )
 
@@ -103,6 +108,22 @@ def physicality_defect(states) -> np.ndarray:
     norm_a = np.einsum("...i,...i->...", arr[..., 1:4], arr[..., 1:4]) - 0.25
     norm_b = np.einsum("...i,...i->...", arr[..., 13:16], arr[..., 13:16]) - 0.25
     return np.maximum(np.maximum(full, norm_a), norm_b)
+
+
+def pauli_coefficients(h: np.ndarray) -> np.ndarray:
+    """``alpha_j = Tr(h sigma_j)`` as the traces of the complex products ``h @ sigma_j``."""
+    h = np.asarray(h, dtype=complex)
+    return np.array([np.trace(h @ pauli(j)).real for j in (1, 2, 3)])
+
+
+def random_factorized_states(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random ``(vA, vB)`` pairs of ``protection.random_factorized_states``, normed by ``np.linalg.norm``."""
+    va = rng.normal(size=(n, 3))
+    va /= np.linalg.norm(va, axis=1, keepdims=True)
+    va *= 0.5 * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / 3.0)
+    vb = rng.normal(size=(n, 3))
+    vb /= 2.0 * np.linalg.norm(vb, axis=1, keepdims=True)
+    return va, vb
 
 
 def drift_rows(w: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,9 +317,11 @@ def full_grid_report(g: float, grid_step: float, n_random: int, seed: int, model
     )
     va_rand, vb_rand = p.random_factorized_states(np.random.default_rng(seed), n_random)
     norms = p._pair_norms(m, va_rand, vb_rand)
-    n_rand, rand_worst, rand_off = p._sweep_summary(norms <= p._DRIFT_TOL, norms, va_rand, vb_rand)
+    n_rand, rand_worst, rand_off = p._sweep_summary(norms <= p._DRIFT_TOL, norms, va_rand, vb_rand,
+                                                    p._square_norm(va_rand))
     grid_zero, first_zero, grid_min = p._drift_rows(p._drift_coefficients(m, va_grid), p._monomials(vb_grid))
-    n_grid, grid_worst, grid_off = p._sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero])
+    n_grid, grid_worst, grid_off = p._sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero],
+                                                    p._square_norm(va_grid))
     min_va_norm, worst = min(grid_worst, rand_worst, key=lambda w: w[0])
     return {
         "coupling": "resonant",

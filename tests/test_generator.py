@@ -3,6 +3,7 @@ import pytest
 
 from blochpair.coherence import VA, VAB, VB, lambda_basis
 from blochpair.generator import (
+    _pauli_coefficients,
     assemble_blocks,
     assemble_generator,
     control_generators,
@@ -14,6 +15,7 @@ from blochpair.generator import (
 from blochpair.model import TwoQubitModel, load_model, save_model
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, lindblad_apply, pauli
 from conftest import random_model
+from oracles import pauli_coefficients
 
 T_EXPECTED = {
     0: [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
@@ -46,6 +48,19 @@ def test_t_matrices_represent_half_pauli_commutators():
             for i in (1, 2, 3):
                 rep[i - 1, k - 1] = 0.5 * np.trace(pauli(i) @ img).real
         np.testing.assert_allclose(rep, t[j - 1], atol=1e-14)
+
+
+def test_pauli_coefficients_are_the_traces_to_the_bit():
+    # normal entries with exact and signed zeros, and entries drawn from a set of edge values
+    rng = np.random.default_rng(33)
+    edges = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -1e-300, 1e300, -1e300])
+    for k in range(6000):
+        if k % 2:
+            h = rng.choice(edges, (2, 2)) + 1j * rng.choice(edges, (2, 2))
+        else:
+            parts = rng.normal(size=(2, 2, 2)) * (rng.random((2, 2, 2)) < 0.7) * rng.choice([1.0, -1.0], (2, 2, 2))
+            h = parts[0] + 1j * parts[1]
+        assert _pauli_coefficients(h).tobytes() == pauli_coefficients(h).tobytes(), h
 
 
 def test_zero_model_gives_zero_generator():
@@ -222,6 +237,18 @@ def test_model_rejects_non_finite_entries(field, bad):
         kwargs["control_hams"] = (pauli(1), np.array([[0.0, bad], [bad, 0.0]]), pauli(3))
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         TwoQubitModel(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("route", [assemble_blocks, generator, numeric_generator])
+def test_generator_refuses_a_non_finite_control(route, slot, bad):
+    # a NaN u gave 90 non-finite entries through generator and 256 through numeric_generator, without an error
+    model = TwoQubitModel(0.3, 0.9, np.eye(3), jumps=(SIGMA_MINUS,))
+    u = np.zeros(3)
+    u[slot] = bad
+    with pytest.raises(ValueError, match=r"control value u must be finite, got \["):
+        route(model, u)
 
 
 @pytest.mark.parametrize("entry", [1j, 1 + 1e-300j, complex(0, np.nan)], ids=["1j", "tiny-imag", "nan-imag"])

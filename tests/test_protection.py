@@ -33,6 +33,7 @@ from blochpair.protection import (
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
 from conftest import NON_PAULI_CONTROLS, float_edge, random_model
 from oracles import OBSTRUCTION_COFACTORS, drift_polynomials, drift_rows, full_grid_report, obstruction_identity_holds
+from oracles import random_factorized_states as linalg_norm_draws
 
 ZERO_U = np.zeros(3)
 PAULIS = np.array([pauli(1), pauli(2), pauli(3)])
@@ -487,6 +488,21 @@ def test_obstruction_identity_fails_with_a_mutated_cofactor(component, rng):
     assert not obstruction_identity_holds(w, mutated)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1023, 1024, 10_000])
+def test_random_draws_are_the_linalg_norm_draws_to_the_bit(n):
+    # the row norms are summed by columns; np.linalg.norm sums rows of three in the same order,
+    # also where the squares underflow or overflow
+    for seed in (0, 1, 7, 108):
+        for got, want in zip(random_factorized_states(np.random.default_rng(seed), n),
+                             linalg_norm_draws(np.random.default_rng(seed), n)):
+            assert got.shape == want.shape == (n, 3) and got.tobytes() == want.tobytes()
+        x = np.random.default_rng(seed).normal(size=(n, 3))
+        for scale in (1e-200, 1e-160, 1.0, 1e160, 1e200):
+            with np.errstate(over="ignore"):
+                got, want = protection._row_norms(scale * x), np.linalg.norm(scale * x, axis=1, keepdims=True)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_random_pairs_lie_above_the_certified_floor():
     # on |vA| <= 1/2, |vB| = 1/2 the cofactors have ||q||_2 <= sqrt(11/4) < 1.66, so by
     # Cauchy-Schwarz |drift| >= |g| (1/4 - |vA|^2) / 1.66; criterion 08's model and draws
@@ -881,6 +897,24 @@ def test_pruning_pins_the_rows_evaluated_for_the_benchmark_case():
         "grid_rows_certified": 461,
         "random_pairs_below_floor": 0,
     }
+
+
+def test_the_rounding_allowance_keeps_a_row_that_its_floor_over_claims_by_less(monkeypatch):
+    # g = 1e-7, grid step 0.25, no random pair, one vA row per chunk, so the floor is checked before
+    # every row. In sweep order the first two off-sphere rows (|vA|^2 = 3/16) have least norms
+    # 1.2167e-8 and 1.1755e-8. A cofactor bound of 0.5123 puts their floor at 1.2200e-8: above
+    # the first norm, and above the second by 4.5e-10, less than the allowance 1e-9. Less the
+    # allowance, the floor stays below the first norm and the second row is evaluated; without the
+    # allowance the sweep stopped before it and reported 1.2167e-8 as the least norm off the sphere.
+    monkeypatch.setattr(protection, "_COFACTOR_BOUND", 0.5123)
+    monkeypatch.setattr(protection, "_SWEEP_CHUNK", 1)
+    report = resonant_obstruction_report(1e-7, grid_step=0.25, n_random=0, seed=1)
+    certificate = report.pop("certificate")
+    assert json.dumps(report) == json.dumps(full_grid_report(1e-7, 0.25, 0, 1))
+    assert report["min_drift_off_sphere"] == pytest.approx(1.1755e-8, rel=1e-4)
+    assert certificate["floor_coefficient"] * (0.25 - 3 / 16) == pytest.approx(1.22e-8, rel=1e-4)
+    # the 6 rows on the sphere and the 8 of |vA|^2 = 3/16; the next floor clears the allowance
+    assert certificate["grid_rows_evaluated"] == 14
 
 
 @pytest.mark.parametrize("grid_step", [0.0, -0.1, np.nan, np.inf, 1.0])
