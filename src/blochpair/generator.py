@@ -72,14 +72,6 @@ def _pauli_coefficients(h: np.ndarray) -> np.ndarray:
     return np.array([(h01 + h10).real + 0.0, -h01.imag + h10.imag + 0.0, (h00 - h11).real + 0.0])
 
 
-def _finite_control(u) -> np.ndarray:
-    """``u`` as a float 3-vector; ``ValueError`` if an entry is NaN or infinite."""
-    u = np.asarray(u, dtype=float).reshape(3)
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"control value u must be finite, got {u.tolist()}")
-    return u
-
-
 def _rotation_generator(h: np.ndarray) -> np.ndarray:
     """3x3 antisymmetric generator of the Bloch rotation induced by ``h``."""
     alpha = _pauli_coefficients(h)
@@ -128,7 +120,6 @@ def assemble_blocks(model: TwoQubitModel, u) -> GeneratorBlocks:
     ``h_ib = sum_j lam[:, j] x T_j`` (rows of ``lam`` against the
     A rotation generators, columns against the B ones).
     """
-    u = _finite_control(u)
     h_a = _rotation_generator(model.hamiltonian_a(u))
     h_b = _rotation_generator(model.hamiltonian_b())
     lam = model.lam
@@ -170,7 +161,7 @@ def numeric_generator(model: TwoQubitModel, u) -> np.ndarray:
     which makes this the reference implementation the closed-form
     assembly is checked against.
     """
-    h = model.hamiltonian(_finite_control(u))
+    h = model.hamiltonian(u)
     jumps = model.full_jumps()
     lam_basis = lambda_basis()
     images = np.array([lindblad_apply(lam_basis[j], h, jumps) for j in range(16)])

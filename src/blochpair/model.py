@@ -93,8 +93,10 @@ class TwoQubitModel:
     # -- matrix builders -------------------------------------------------
 
     def hamiltonian_a(self, u) -> np.ndarray:
-        """2x2 Hamiltonian of qubit A including drift and controls."""
+        """2x2 Hamiltonian of qubit A including drift and controls; ``ValueError`` on a non-finite ``u``."""
         u = np.asarray(u, dtype=float).reshape(3)
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"control value u must be finite, got {u.tolist()}")
         h = self.omega_a * pauli(3)
         for ui, hc in zip(u, self.control_hams):
             h = h + ui * hc

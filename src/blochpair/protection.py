@@ -33,17 +33,17 @@ grid.  For a fixed generator the drift is a polynomial of degree 2 in
 :func:`drift_batch` at 10 x 10 probe pairs and multiplies the per-``vA``
 coefficients ``(n_vA, 9, 10)``, a chunk of ``vA`` rows at a time, with
 one table of the ``vB`` monomials ``1, b1, b2, b3, b_j b_k`` (``j <= k``)
-of the grid.  A chunk keeps only each row's smallest squared drift norm;
-the few rows that reach the zero bound are multiplied out again for
-their zeros.  The rows go from the sphere ``|vA| = 1/2`` inward, and the
-sweep stops where the obstruction's certified floor covers every row
-left.  The random pairs go through :func:`drift_batch` itself, at most
-``_PAIR_CHUNK`` pairs at a time, and keep only each pair's drift norm.
-The two sources are reduced in turn, the random pairs first: each to a
-summary of its zero count, its zero of least ``|vA|`` and its least
-drift norm off the sphere, so the draws are freed before the grid's
-coefficients exist.  :func:`drift_batch` is the one derivation of the
-drift.
+of the grid.  Each chunk's drifts are formed once and reduced once: every
+node's norm is squared, each row keeps its smallest norm, and only the few
+rows that reach the zero bound are searched for their zeros.  The rows go
+from the sphere ``|vA| = 1/2`` inward, and the sweep stops where the
+obstruction's certified floor covers every row left.  The random pairs
+go through :func:`drift_batch` itself, at most ``_PAIR_CHUNK`` pairs at a
+time, and keep only each pair's drift norm.  The two sources are reduced
+in turn, the random pairs first: each to a summary of its zero count, its
+zero of least ``|vA|`` and its least drift norm off the sphere, so the
+draws are freed before the grid's coefficients exist.  :func:`drift_batch`
+is the one derivation of the drift.
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ _RANK_FLOOR = 1e-12
 _CONSISTENCY_TOL = 1e-9
 #: slack of the fixed-point solve's test for a solution of norm 1/2
 _HALF_SLACK = 1e-9
-#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows), each keeping only
-#: its rows' smallest squared norms; this size holds a grid-step-0.1 report's traced peak
-#: at 1.10 MB, under its 1.25 MB test (16,384 reads 1.96 MB, though it cuts the report's
-#: ~300 minor page faults a call to about 0)
+#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows), whose drifts the
+#: sweep loop forms once and :func:`_drift_rows` reduces; this size holds a grid-step-0.1
+#: report's traced peak at 1.10 MB, under its 1.25 MB test (16,384 reads 2.00 MB, though
+#: it cuts the report's ~170 minor page faults a call to about 0)
 _SWEEP_CHUNK = 4096
 #: most random pairs per chunk of the obstruction sweep, which keeps only each
 #: pair's norm; at this size a chunk's temporaries peak below those of the draws
@@ -466,32 +466,22 @@ def _affine_solution_set(d_hat: np.ndarray, v0: np.ndarray) -> dict:
     }
 
 
-def _drift_rows(coef: np.ndarray, mono: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row ``r`` of the drifts ``coef[r] @ mono``: zero count, first zero, smallest norm.
+def _drift_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row ``r`` of the drifts ``w[r, :, c]``: zero count, first zero, smallest norm.
 
-    A chunk of rows at a time, only each row's smallest squared norm is
-    kept.  The rows whose smallest norm is at most :data:`_DRIFT_TOL`, or is
-    NaN and so may hide a zero, are evaluated again for their zeros.
+    Each node's norm is squared once, and a row's smallest norm is the root
+    of its least square.  Only the rows whose smallest norm is at most
+    :data:`_DRIFT_TOL`, or is NaN and so may hide a zero, are searched for
+    their zeros.
     """
-
-    def squares(rows):
-        w = coef[rows] @ mono
-        return np.einsum("rkc,rkc->rc", w, w)
-
-    rows_per_chunk = max(1, _SWEEP_CHUNK // mono.shape[1])
-    least = np.empty(len(coef))
-    for start in range(0, len(coef), rows_per_chunk):
-        chunk = slice(start, start + rows_per_chunk)
-        np.min(squares(chunk), axis=1, out=least[chunk])
-    n_zero = np.zeros(len(coef), dtype=np.intp)
-    first_zero = np.zeros(len(coef), dtype=np.intp)
-    row_min = np.sqrt(least)
+    squares = np.einsum("rkc,rkc->rc", w, w)
+    n_zero, first_zero = np.zeros(len(w), dtype=np.intp), np.zeros(len(w), dtype=np.intp)
+    row_min = np.sqrt(np.min(squares, axis=1))
     hit = np.flatnonzero(~(row_min > _DRIFT_TOL))
-    for start in range(0, len(hit), rows_per_chunk):
-        rows = hit[start : start + rows_per_chunk]
-        zero = np.sqrt(squares(rows)) <= _DRIFT_TOL
-        n_zero[rows] = np.count_nonzero(zero, axis=1)
-        first_zero[rows] = np.argmax(zero, axis=1)
+    if hit.size:
+        squares = squares[hit]  # rooted in place, as the caller still holds the chunk's drifts
+        zero = np.sqrt(squares, out=squares) <= _DRIFT_TOL
+        n_zero[hit], first_zero[hit] = np.count_nonzero(zero, axis=1), np.argmax(zero, axis=1)
     return n_zero, first_zero, row_min
 
 
@@ -548,8 +538,9 @@ def resonant_obstruction_report(
 
     The random pairs go through :func:`_pair_norms`, a bounded chunk at a
     time; a pair is a zero when its norm is at most :data:`_DRIFT_TOL`.  The
-    ``vA`` rows of the grid go through :func:`_drift_rows` a chunk at a time,
-    from the sphere inward, so each row's certified floor
+    ``vA`` rows of the grid go a chunk at a time, each chunk's drifts at every
+    ``vB`` node formed once and reduced by :func:`_drift_rows`.  They go from
+    the sphere inward, so each row's certified floor
     ``|g| (1/4 - |vA|^2) / 1.66`` (:data:`_COFACTOR_BOUND`), less an allowance
     ``_DRIFT_TOL max(1, |g|)`` for rounding, is no lower than the last.  The
     sweep stops at the first floor above both :data:`_DRIFT_TOL` and the least
@@ -608,7 +599,7 @@ def resonant_obstruction_report(
     best, done, chunk = rand_off, 0, max(1, _SWEEP_CHUNK // mono.shape[1])
     while done < n and not (prune and floor[done] > np.fmax(best, _DRIFT_TOL)):
         rows = order[done : done + chunk]
-        grid_zero[rows], first_zero[rows], grid_min[rows] = _drift_rows(coef[rows], mono)
+        grid_zero[rows], first_zero[rows], grid_min[rows] = _drift_rows(coef[rows] @ mono)
         best = np.minimum(best, np.min(grid_min[rows][off[rows]], initial=np.inf))
         done += len(rows)
     n_grid, grid_worst, grid_off = _sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero], va_sq)

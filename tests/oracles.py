@@ -20,7 +20,8 @@ bound under B's purification margin that holds for every control law.
 obstruction: ``obstruction_identity_holds`` multiplies it out over Python
 integers against the drift polynomials that ``drift_polynomials`` reads
 off an integer coefficient tensor.  ``full_grid_report`` is the obstruction
-report with its grid unpruned: every row of it evaluated.
+report with its grid unpruned and none of its reductions: every row of it
+evaluated on its own, and summarised in one place.
 ``pauli_coefficients`` takes ``Tr(h sigma_j)`` as traces of complex 2x2
 products, and ``random_factorized_states`` norms its draws with
 ``np.linalg.norm``; the package reads the first off the matrix entries and sums
@@ -297,8 +298,9 @@ def obstruction_identity_holds(w: list[dict], cofactors: dict = OBSTRUCTION_COFA
 
 
 def full_grid_report(g: float, grid_step: float, n_random: int, seed: int, model=None) -> dict:
-    """``protection.resonant_obstruction_report`` without its ``certificate``, with no row pruned:
-    ``_drift_rows`` over every ``vA`` row of the grid, reduced by ``_sweep_summary``.
+    """``protection.resonant_obstruction_report`` without its ``certificate``, with no row pruned and
+    no chunk: each ``vA`` row of the grid reduced on its own by :func:`drift_rows`, the random pairs
+    as the one-node rows of one ``drift_batch`` call, and the two summarised together.
 
     The generator and the random draws are read from ``protection`` when called, so a test that
     patches them there patches both routes."""
@@ -316,13 +318,19 @@ def full_grid_report(g: float, grid_step: float, n_random: int, seed: int, model
         [(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()]
     )
     va_rand, vb_rand = p.random_factorized_states(np.random.default_rng(seed), n_random)
-    norms = p._pair_norms(m, va_rand, vb_rand)
-    n_rand, rand_worst, rand_off = p._sweep_summary(norms <= p._DRIFT_TOL, norms, va_rand, vb_rand,
-                                                    p._square_norm(va_rand))
-    grid_zero, first_zero, grid_min = p._drift_rows(p._drift_coefficients(m, va_grid), p._monomials(vb_grid))
-    n_grid, grid_worst, grid_off = p._sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero],
-                                                    p._square_norm(va_grid))
-    min_va_norm, worst = min(grid_worst, rand_worst, key=lambda w: w[0])
+    rand_zero, _, rand_min = drift_rows(p.drift_batch(m, va_rand, vb_rand)[:, :, None])
+    coef, mono = p._drift_coefficients(m, va_grid), p._monomials(vb_grid)
+    grid_zero, first_zero, grid_min = (
+        np.concatenate(x) for x in zip(*(drift_rows(coef[r : r + 1] @ mono) for r in range(len(coef))))
+    )
+    # the grid's rows before the pairs, so that the first zero of least |vA| is the grid's on a tie
+    n_zero, least = np.concatenate([grid_zero, rand_zero]), np.concatenate([grid_min, rand_min])
+    vas, vbs = np.concatenate([va_grid, va_rand]), np.concatenate([vb_grid[first_zero], vb_rand])
+    va_norm = np.sqrt(p._square_norm(vas))
+    zeros = np.flatnonzero(n_zero)
+    worst = zeros[np.argmin(va_norm[zeros])] if zeros.size else None
+    # np.min keeps a NaN
+    min_off = np.min(least[va_norm < 0.5 - p._OFF_SPHERE_MARGIN], initial=np.inf)
     return {
         "coupling": "resonant",
         "g": float(g),
@@ -330,9 +338,9 @@ def full_grid_report(g: float, grid_step: float, n_random: int, seed: int, model
         "n_random": int(n_random),
         "seed": int(seed),
         "drift_tol": p._DRIFT_TOL,
-        "n_drift_zero_points": n_grid + n_rand,
-        "min_va_norm_at_zero": None if worst is None else min_va_norm,
-        "worst_zero_point": worst,
-        "min_drift_off_sphere": float(np.minimum(grid_off, rand_off)),
+        "n_drift_zero_points": int(np.sum(n_zero)),
+        "min_va_norm_at_zero": None if worst is None else float(va_norm[worst]),
+        "worst_zero_point": None if worst is None else {"va": vas[worst].tolist(), "vb": vbs[worst].tolist()},
+        "min_drift_off_sphere": float(min_off),
         "purity_fixed_point": p._affine_solution_set(*p.dissipator_blocks(model.jumps)),
     }

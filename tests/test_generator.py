@@ -251,6 +251,18 @@ def test_generator_refuses_a_non_finite_control(route, slot, bad):
         route(model, u)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("method", ["hamiltonian_a", "hamiltonian"])
+def test_model_hamiltonians_refuse_a_non_finite_control(method, slot, bad):
+    # a NaN u gave NaN Hamiltonian entries, and an infinite one gave them with a RuntimeWarning
+    model = TwoQubitModel(0.3, 0.9, np.eye(3), jumps=(SIGMA_MINUS,))
+    u = np.zeros(3)
+    u[slot] = bad
+    with pytest.raises(ValueError, match=r"control value u must be finite, got \["):
+        getattr(model, method)(u)
+
+
 @pytest.mark.parametrize("entry", [1j, 1 + 1e-300j, complex(0, np.nan)], ids=["1j", "tiny-imag", "nan-imag"])
 def test_model_refuses_a_complex_coupling(entry):
     # a float cast kept only the real part, with a ComplexWarning, so lam = diag(1j, 0, 0) became 0

@@ -621,26 +621,23 @@ def planted_rows(rng, n_rows, n_cols):
     for row, sq in ((30, _TOL_SQ), (31, _ABOVE_TOL_SQ)):
         w[row, :, -1] = 0.0
         w[row, :2, -1] = 1e-9, np.sqrt(sq - 1e-18)
-    w[-1, :, -1] = 0.0  # a zero in the last row of the last chunk
-    w[-2, :, 0] = 1e-12  # the smallest off-zero minimum, in the last chunk
+    w[-1, :, -1] = 0.0  # a zero in the last row
+    w[-2, :, 0] = 1e-12  # the smallest off-zero minimum
     return w
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(10_000, 1), (1500, 10), (60, 300)])
 def test_drift_rows_match_the_per_node_reduction(n_rows, n_cols, rng):
-    # three chunks of rows or more; the identity table leaves each drift as
-    # it is, so the nodes are planted exactly
-    assert n_rows > 2 * (protection._SWEEP_CHUNK // n_cols)
-    coef = planted_rows(rng, n_rows, n_cols)
-    mono = np.eye(n_cols)
-    got = protection._drift_rows(coef, mono)
-    want = drift_rows(coef @ mono)
+    # the sweep hands _drift_rows a chunk's drifts; these are planted drifts, reduced in one call
+    w = planted_rows(rng, n_rows, n_cols)
+    got = protection._drift_rows(w)
+    want = drift_rows(w)
     for g, x in zip(got, want):
         np.testing.assert_array_equal(g, x)
     n_zero, first_zero, row_min = got
     counted = n_zero[13 : 13 + len(_NEAR_TOL)]
     assert counted.any() and not counted.all()  # the tolerance nodes fall on both sides
-    bound = np.einsum("rk,rk->r", coef[30:32, :, -1], coef[30:32, :, -1])
+    bound = np.einsum("rk,rk->r", w[30:32, :, -1], w[30:32, :, -1])
     assert list(bound) == [_TOL_SQ, _ABOVE_TOL_SQ]
     assert np.sqrt(bound[0]) <= protection._DRIFT_TOL < np.sqrt(bound[1])
     assert list(n_zero[30:32]) == [1, 0]
@@ -651,11 +648,10 @@ def test_drift_rows_match_the_per_node_reduction(n_rows, n_cols, rng):
 
 def test_drift_rows_count_zeros_beside_a_nan_node(rng):
     # a NaN node makes the row minimum NaN; the row's zeros must still count
-    coef = planted_rows(rng, 40, 10)
-    mono = np.eye(10)
-    mono[:, 6] = np.nan
-    got = protection._drift_rows(coef, mono)
-    want = drift_rows(coef @ mono)
+    w = planted_rows(rng, 40, 10)
+    w[:, :, 6] = np.nan
+    got = protection._drift_rows(w)
+    want = drift_rows(w)
     for g, x in zip(got, want):
         np.testing.assert_array_equal(g, x)
     assert np.all(np.isnan(got[2])) and got[0][5] == 1
@@ -670,9 +666,9 @@ def test_drift_rows_on_sweep_coefficients_match_the_per_node_reduction():
     vas = vas[np.einsum("ij,ij->i", vas, vas) <= 0.25 + 1e-12]
     _, vbs = random_factorized_states(np.random.default_rng(3), 700)
     vbs[:5] = [[0, 0, 0.5], [0, 0, -0.5], [0.5, 0, 0], [0, 0.5, 0], [0.3, 0.4, 0]]
-    coef, mono = _drift_coefficients(m, vas), _monomials(vbs)
-    got = protection._drift_rows(coef, mono)
-    want = drift_rows(coef @ mono)
+    w = _drift_coefficients(m, vas) @ _monomials(vbs)
+    got = protection._drift_rows(w)
+    want = drift_rows(w)
     for g, x in zip(got, want):
         np.testing.assert_array_equal(g, x)
     assert got[0].sum() > 0
