@@ -39,11 +39,11 @@ rows that reach the zero bound are searched for their zeros.  The rows go
 from the sphere ``|vA| = 1/2`` inward, and the sweep stops where the
 obstruction's certified floor covers every row left.  The random pairs
 go through :func:`drift_batch` itself, at most ``_PAIR_CHUNK`` pairs at a
-time, and keep only each pair's drift norm.  The two sources are reduced
-in turn, the random pairs first: each to a summary of its zero count, its
-zero of least ``|vA|`` and its least drift norm off the sphere, so the
-draws are freed before the grid's coefficients exist.  :func:`drift_batch`
-is the one derivation of the drift.
+time, and keep only each pair's drift norm.  Both sources add to one
+running summary, the random pairs first, so that their draws are freed
+before the grid's coefficients exist: the zero count, the zero of least key
+``(|vA|, source, row)`` and the least drift norm off the sphere.
+:func:`drift_batch` is the one derivation of the drift.
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ _RANK_FLOOR = 1e-12
 _CONSISTENCY_TOL = 1e-9
 #: slack of the fixed-point solve's test for a solution of norm 1/2
 _HALF_SLACK = 1e-9
-#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows), whose drifts the
-#: sweep loop forms once and :func:`_drift_rows` reduces; this size holds a grid-step-0.1
-#: report's traced peak at 1.10 MB, under its 1.25 MB test (16,384 reads 2.00 MB, though
-#: it cuts the report's ~170 minor page faults a call to about 0)
+#: grid pairs per chunk of the obstruction sweep (whole vB-grid rows), whose drifts the sweep
+#: loop forms once, :func:`_drift_rows` reduces and the summary takes in; this size holds a
+#: grid-step-0.1 report's traced peak at 1.10 MB, under its 1.25 MB test (16,384 reads 2.00 MB,
+#: though it cuts the report's ~170 minor page faults a call to about 0)
 _SWEEP_CHUNK = 4096
 #: most random pairs per chunk of the obstruction sweep, which keeps only each
 #: pair's norm; at this size a chunk's temporaries peak below those of the draws
@@ -472,7 +472,7 @@ def _drift_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each node's norm is squared once, and a row's smallest norm is the root
     of its least square.  Only the rows whose smallest norm is at most
     :data:`_DRIFT_TOL`, or is NaN and so may hide a zero, are searched for
-    their zeros.
+    their zeros.  The sweep adds a chunk's rows to its summary and keeps none.
     """
     squares = np.einsum("rkc,rkc->rc", w, w)
     n_zero, first_zero = np.zeros(len(w), dtype=np.intp), np.zeros(len(w), dtype=np.intp)
@@ -495,25 +495,6 @@ def _pair_norms(m: np.ndarray, vas: np.ndarray, vbs: np.ndarray) -> np.ndarray:
     n_chunks = max(1, -(-len(vas) // _PAIR_CHUNK))
     chunks = zip(np.array_split(vas, n_chunks), np.array_split(vbs, n_chunks))
     return np.concatenate([np.sqrt(_square_norm(drift_batch(m, va, vb))) for va, vb in chunks])
-
-
-def _sweep_summary(
-    n_zero: np.ndarray, least: np.ndarray, vas: np.ndarray, vbs: np.ndarray, va_sq: np.ndarray
-) -> tuple:
-    """Zero count, ``(|vA|, pair)`` of the zero of least ``|vA|``, and least drift norm off the sphere.
-
-    Row ``r`` of a sweep source, at ``vA = vas[r]`` with ``|vA|^2 = va_sq[r]``,
-    has ``n_zero[r]`` drift zeros, the first at ``vB = vbs[r]``, and least drift
-    norm ``least[r]``.  A tie goes to the first row; with no zero the pair is
-    None at ``|vA|`` infinity.  A NaN norm off the sphere makes that minimum NaN.
-    """
-    va_norm = np.sqrt(va_sq)
-    hit = np.flatnonzero(n_zero)
-    worst = (np.inf, None)
-    if hit.size:
-        r = hit[np.argmin(va_norm[hit])]
-        worst = (float(va_norm[r]), {"va": vas[r].tolist(), "vb": vbs[r].tolist()})
-    return int(np.sum(n_zero)), worst, np.min(least[va_norm < 0.5 - _OFF_SPHERE_MARGIN], initial=np.inf)
 
 
 def resonant_obstruction_report(
@@ -545,13 +526,14 @@ def resonant_obstruction_report(
     ``_DRIFT_TOL max(1, |g|)`` for rounding, is no lower than the last.  The
     sweep stops at the first floor above both :data:`_DRIFT_TOL` and the least
     off-sphere norm so far, the random pairs' included: no later row can hold
-    a zero or lower that norm, so each keeps zero count 0 and norm +inf, and
-    every field but ``certificate`` is that of the full grid.  A non-finite
-    coefficient, or a random pair below its own floor, voids the floor, and
-    every row is evaluated.  Each source is reduced by :func:`_sweep_summary`,
-    the random pairs first; on a tie of ``|vA|`` the grid's zero is reported.
-    ``certificate`` holds ``|g| / 1.66``, the rows evaluated and certified and
-    the random pairs below their floor.
+    a zero or lower that norm, so every field but ``certificate`` is that of
+    the full grid.  A non-finite coefficient, or a random pair below its own
+    floor, voids the floor, and every row is evaluated.  The random pairs,
+    then each grid chunk, add to one summary: the zero count, the least
+    off-sphere norm and the zero of least key ``(|vA|, source, row)``, the
+    grid being source 0, so that on a tie of ``|vA|`` the grid's zero is
+    reported, then the lower row's.  ``certificate`` holds ``|g| / 1.66``,
+    the rows evaluated and certified and the random pairs below their floor.
 
     ``grid_step`` must be finite, positive and small enough that some
     point of the ``vA`` grid lies in the ball.  A given ``model`` must
@@ -581,30 +563,39 @@ def resonant_obstruction_report(
         [(np.sin(tt) * np.cos(pp)).ravel(), (np.sin(tt) * np.sin(pp)).ravel(), np.cos(tt).ravel()]
     )
 
-    # the random pairs are reduced first and their draws dropped, so that none
-    # is held while the grid's coefficients exist; each spot-checks the floor
+    # part (a)'s one summary: zero count, zero of least key (|vA|, source, row) with the grid as source 0
+    # and the pairs as 1, and least norm off the sphere.  The pairs seed it; their draws go before the fit
     va_rand, vb_rand = random_factorized_states(np.random.default_rng(seed), n_random)
     rand_norms, rand_sq = _pair_norms(m, va_rand, vb_rand), _square_norm(va_rand)
-    n_rand, rand_worst, rand_off = _sweep_summary(rand_norms <= _DRIFT_TOL, rand_norms, va_rand, vb_rand, rand_sq)
     floor_coef, allowance = abs(g) / _COFACTOR_BOUND, _DRIFT_TOL * max(1.0, abs(g))
     n_below = int(np.count_nonzero(rand_norms < floor_coef * (0.25 - rand_sq) - allowance))
-    del va_rand, vb_rand, rand_norms, rand_sq
-    # grid rows from the sphere inward, until a floor clears the least norm off the sphere so far;
-    # once that norm is NaN, so is the report's, and only the zero bound is left to clear
+    rand_va, zeros = np.sqrt(rand_sq, out=rand_sq), np.flatnonzero(rand_norms <= _DRIFT_TOL)
+    n_zero, key, worst, column = zeros.size, (np.inf,), None, None
+    if zeros.size:
+        r = zeros[np.argmin(rand_va[zeros])]
+        key, worst = (rand_va[r], 1, r), {"va": va_rand[r].tolist(), "vb": vb_rand[r].tolist()}
+    best = np.min(rand_norms, where=rand_va < 0.5 - _OFF_SPHERE_MARGIN, initial=np.inf)
+    del va_rand, vb_rand, rand_norms, rand_sq, rand_va, zeros
+    # grid rows from the sphere inward (the first n_sphere on it), until a floor clears the least norm off
+    # the sphere so far; once that norm is NaN, so is the report's, and only the zero bound is left to clear
     coef, mono, va_sq = _drift_coefficients(m, va_grid), _monomials(vb_grid), _square_norm(va_grid)
     prune = bool(np.all(np.isfinite(coef))) and n_below == 0
-    order, off, n = np.argsort(-va_sq, kind="stable"), np.sqrt(va_sq) < 0.5 - _OFF_SPHERE_MARGIN, len(va_grid)
-    floor = floor_coef * (0.25 - va_sq[order]) - allowance
-    grid_zero, first_zero, grid_min = np.zeros(n, np.intp), np.zeros(n, np.intp), np.full(n, np.inf)
-    best, done, chunk = rand_off, 0, max(1, _SWEEP_CHUNK // mono.shape[1])
+    order, va_norm, n = np.argsort(-va_sq, kind="stable"), np.sqrt(va_sq), len(va_grid)
+    floor, n_sphere = floor_coef * (0.25 - va_sq[order]) - allowance, np.sum(va_norm >= 0.5 - _OFF_SPHERE_MARGIN)
+    done, chunk = 0, max(1, _SWEEP_CHUNK // mono.shape[1])
     while done < n and not (prune and floor[done] > np.fmax(best, _DRIFT_TOL)):
         rows = order[done : done + chunk]
-        grid_zero[rows], first_zero[rows], grid_min[rows] = _drift_rows(coef[rows] @ mono)
-        best = np.minimum(best, np.min(grid_min[rows][off[rows]], initial=np.inf))
+        row_zeros, first_zero, row_min = _drift_rows(coef[rows] @ mono)
+        best = row_min[max(0, n_sphere - done) :].min(initial=best)  # a NaN is kept
+        count = row_zeros.sum()
+        if count:
+            j = np.lexsort((rows, va_norm[rows], row_zeros == 0))[0]  # the chunk's zero of least key
+            n_zero, candidate = n_zero + count, (va_norm[rows[j]], 0, rows[j])
+            if candidate < key:
+                key, column = candidate, first_zero[j]
         done += len(rows)
-    n_grid, grid_worst, grid_off = _sweep_summary(grid_zero, grid_min, va_grid, vb_grid[first_zero], va_sq)
-    # counts add; the least |vA| wins, the grid's on a tie; np.minimum keeps a NaN
-    min_va_norm, worst = min(grid_worst, rand_worst, key=lambda w: w[0])
+    if column is not None:
+        worst = {"va": va_grid[key[2]].tolist(), "vb": vb_grid[column].tolist()}
 
     solve = _affine_solution_set(*dissipator_blocks(model.jumps))
 
@@ -615,10 +606,10 @@ def resonant_obstruction_report(
         "n_random": int(n_random),
         "seed": int(seed),
         "drift_tol": _DRIFT_TOL,
-        "n_drift_zero_points": n_grid + n_rand,
-        "min_va_norm_at_zero": None if worst is None else min_va_norm,
+        "n_drift_zero_points": int(n_zero),
+        "min_va_norm_at_zero": None if worst is None else float(key[0]),
         "worst_zero_point": worst,
-        "min_drift_off_sphere": float(np.minimum(grid_off, rand_off)),
+        "min_drift_off_sphere": float(best),
         "purity_fixed_point": solve,
         "certificate": {
             "floor_coefficient": floor_coef,

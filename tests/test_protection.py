@@ -725,7 +725,7 @@ def nan_pair_draws(rng, n):
     ids=[str(n) for n in _REPORT_PAIRS] + ["nan-entry", "nan-pair"],
 )
 def test_resonant_obstruction_report_matches_drift_batch_sweep_over_pair_chunks(n_random, nan, monkeypatch):
-    # the report reduces its random pairs and its grid each to a summary; the reference
+    # the report adds its random pairs, then each grid chunk, to one summary; the reference
     # reduces every pair of both at once.  A NaN generator entry makes every drift NaN: no
     # zero, and a NaN off-sphere minimum; one NaN random pair makes that minimum NaN alone
     draws = nan_pair_draws if nan == "pair" else random_factorized_states
@@ -751,15 +751,18 @@ def _traced_peak(f, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-def test_random_pairs_raise_the_sweep_peak_by_their_draws_and_one_chunk():
+@pytest.mark.parametrize("g", [1.0, 0.0])
+def test_random_pairs_raise_the_sweep_peak_by_their_draws_and_one_chunk(g):
     # evaluated whole, 10,000 pairs raised the traced peak by about 360 bytes
-    # each, several times their draws; a coarse grid keeps the grid's own peak small
+    # each, several times their draws; a coarse grid keeps the grid's own peak small.
+    # At g = 0 every pair and every grid node is a zero: a record kept per zero
+    # added about 4 MB here, where the one summary adds about 0.55 MB
     n_random = 10_000
     draws = _traced_peak(random_factorized_states, np.random.default_rng(7), n_random)
     vas, vbs = random_factorized_states(np.random.default_rng(7), _PAIR_CHUNK)
-    chunk = _traced_peak(drift_batch, sweep_generator(1.0), vas, vbs)
+    chunk = _traced_peak(drift_batch, sweep_generator(g), vas, vbs)
     sweep = [
-        _traced_peak(resonant_obstruction_report, 1.0, grid_step=0.25, n_random=n, seed=7)
+        _traced_peak(resonant_obstruction_report, g, grid_step=0.25, n_random=n, seed=7)
         for n in (0, n_random)
     ]
     assert sweep[1] - sweep[0] <= draws + chunk
@@ -820,6 +823,32 @@ def test_worst_zero_point_ties_go_to_the_grid(monkeypatch):
     assert report["n_drift_zero_points"] == clean["n_drift_zero_points"] + 1
     assert report["min_va_norm_at_zero"] == 0.5
     assert report["worst_zero_point"] == clean["worst_zero_point"]
+
+
+def test_worst_zero_point_ties_on_the_root_go_to_the_lower_row(monkeypatch):
+    # rows 82 and 118 of the grid-0.1 vA grid have distinct squares but one root |vA|, and the
+    # sweep reaches row 118 first. With both rows' coefficients zeroed, every node of both is a
+    # zero of least |vA|; the key (|vA|, source, row) reports row 82, as the full grid does. A
+    # cofactor bound of 1e12 puts every floor below zero, so every row is evaluated
+    grids = []
+
+    def zeroed(m, vas):
+        grids.append(vas)
+        coef = _drift_coefficients(m, vas)
+        coef[[82, 118]] = 0.0
+        return coef
+
+    monkeypatch.setattr(protection, "_drift_coefficients", zeroed)
+    monkeypatch.setattr(protection, "_COFACTOR_BOUND", 1e12)
+    report = resonant_obstruction_report(1.0, grid_step=0.1, n_random=100, seed=1)
+    certificate = report.pop("certificate")
+    assert json.dumps(report) == json.dumps(full_grid_report(1.0, 0.1, 100, 1))
+    squares = _square_norm(grids[0])
+    order = list(np.argsort(-squares, kind="stable"))
+    assert squares[82] != squares[118] and np.sqrt(squares[82]) == np.sqrt(squares[118])
+    assert order.index(118) < order.index(82) and certificate["grid_rows_certified"] == 0
+    assert report["min_va_norm_at_zero"] == np.sqrt(squares[82]) < 0.5
+    assert report["worst_zero_point"]["va"] == grids[0][82].tolist()
 
 
 # -- the certified floor prunes the grid ---------------------------------------
