@@ -220,8 +220,10 @@ def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float, work=None
 
 @functools.lru_cache(maxsize=4)
 def _split(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray, str]:
-    """``control_generators(model)`` and ``model.hash_hex()``, built once per model (models hash by identity)."""
+    """Finite ``control_generators(model)`` and ``model.hash_hex()``, built once per model (models hash by identity)."""
     m0, mc = control_generators(model)
+    if not (np.isfinite(m0).all() and np.isfinite(mc).all()):
+        raise AssertionError(f"the affine split of model {model.hash_hex()} is not finite")
     m0.flags.writeable = mc.flags.writeable = False
     return m0, mc, model.hash_hex()
 
@@ -405,11 +407,11 @@ def integrate(
 def purity_rate_b(model: TwoQubitModel, v) -> float:
     """Instantaneous time derivative of ``Tr(rho_B^2)``.
 
-    Equals ``4 <vB, M0[VB] v>``, read off the ``vB`` rows of the affine
-    split.  The controls drop out because those rows of every ``Mc_j``
-    are zero, and the jumps because they act on A only.  Of the rest,
-    ``<vB, h_b vB>`` vanishes since ``h_b`` is antisymmetric, so only the
-    coupling term ``<vB, h_ib vAB>`` can change the reduced purity of B.
+    Equals ``4 <vB, M0[VB] v>``, read off the ``vB`` rows of the affine split.  The controls
+    drop out because each ``Mc_j`` is placed on the ``vA`` and ``vAB`` blocks only, and the
+    jumps because they act on A only.  Of the rest, ``<vB, h_b vB>`` vanishes since ``h_b``
+    is antisymmetric, so only the coupling term ``<vB, h_ib vAB>`` can change the reduced
+    purity of B.
     """
     flat = _as_flat(v)
     vb = flat[VB]

@@ -27,7 +27,7 @@ identically zero (trace preservation), so ``c0`` stays at ``1/2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,12 +172,12 @@ def numeric_generator(model: TwoQubitModel, u) -> np.ndarray:
 
 
 def control_generators(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear decomposition ``M(u) = M0 + sum_j u_j Mc[j]``.
+    """Bilinear decomposition ``M(u) = M0 + sum_j u_j Mc[j]``, with ``M0`` the generator at ``u = 0``.
 
-    Returns the drift-plus-dissipation generator ``M0`` and a (3, 16, 16)
-    stack of control generators, each independent of drift and noise.
+    The controls act on A only, so ``Mc[j]`` is control ``j``'s rotation generator ``r_j`` on ``vA``,
+    ``r_j x I_3`` on ``vAB`` and zero elsewhere: exactly antisymmetric, free of drift and noise.
     """
-    blocks = assemble_blocks(model, np.zeros(3))  # only h_a depends on u
-    m0 = assemble_generator(blocks)
-    h_as = (_rotation_generator(model.hamiltonian_a(e)) for e in _I3)
-    return m0, np.array([assemble_generator(replace(blocks, h_a=h)) for h in h_as]) - m0
+    mc = np.zeros((3, 16, 16))
+    for m, r in zip(mc, map(_rotation_generator, model.control_hams)):
+        m[VA, VA], m[VAB, VAB] = r, np.kron(r, _I3)
+    return generator(model, np.zeros(3)), mc

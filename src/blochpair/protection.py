@@ -626,23 +626,22 @@ def resonant_obstruction_report(
 def axis1_escape_report(model: TwoQubitModel, seed: int = 0) -> dict:
     """First-order escape rate from ``rho_A x (I +/- sigma_1)/2`` states.
 
-    Pinning B at a ``sigma_1`` pole makes the factorization drift vanish
-    identically, yet the configuration cannot persist: the free rotation
-    of B moves ``vB`` off the pole at rate ``|omega_b|`` regardless of
-    the control, which acts on A only: the ``vB`` rows of every ``Mc[j]``
-    are zero (asserted), so ``M0`` gives the rate for every ``u``.  The
-    report returns the minimum, over random ``vA``, of the instantaneous
-    rate at which the pole constraints ``(vB2, vB3) = 0`` are violated.
-    The rate degenerates to zero exactly when ``omega_b = 0``, in which
-    case the branch is not excluded by this first-order argument.
-    ``model`` must carry a sigma3-sigma1 coupling.
+    Pinning B at a ``sigma_1`` pole makes the factorization drift vanish identically, yet
+    the configuration cannot persist: the free rotation of B moves ``vB`` off the pole at
+    rate ``|omega_b|`` regardless of the control.  The controls act on A only, so every
+    ``Mc[j]`` is placed on the ``vA`` and ``vAB`` blocks, its ``vB`` rows zero (asserted),
+    and ``M0`` gives the rate for every ``u``.  The report returns the minimum, over random
+    ``vA``, of the instantaneous rate at which the pole constraints ``(vB2, vB3) = 0`` are
+    violated.  The rate degenerates to zero exactly when ``omega_b = 0``, in which case the
+    branch is not excluded by this first-order argument.  ``model`` must carry a
+    sigma3-sigma1 coupling.
     """
     require_coupling(model, Coupling("sigma3-sigma1", model.lam[2, 0]))
     rng = np.random.default_rng(seed)
     vas, _ = random_factorized_states(rng, _AXIS1_STATES)
     m0, mc, _ = _split(model)
     if np.any(mc[:, VB]):
-        raise AssertionError("control generators reach the vB rows (or are not finite)")
+        raise AssertionError("control generators reach the vB rows")
     poles = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
     states = embed_factorized(vas[None, :, :], poles[:, None, :]).reshape(-1, 16)
     rates = states @ m0[VB][1:].T  # rows vB2, vB3

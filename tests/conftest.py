@@ -73,6 +73,14 @@ def random_model(rng: np.random.Generator, max_jumps: int = 3) -> TwoQubitModel:
     )
 
 
+def random_control_model(rng: np.random.Generator) -> TwoQubitModel:
+    """Random model with generic jumps and non-Pauli control Hamiltonians."""
+    base = random_model(rng)
+    paulis = np.array([pauli(1), pauli(2), pauli(3)])
+    controls = tuple(np.einsum("i,ikl->kl", rng.normal(size=3), paulis) for _ in range(3))
+    return TwoQubitModel(base.omega_a, base.omega_b, base.lam, base.jumps, controls)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)

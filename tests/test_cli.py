@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -504,18 +505,23 @@ def test_diverging_run_reports_the_gate_failure_in_both_commands(tmp_path, capsy
 
 
 def test_failed_structural_certificate_is_numerical_error(tmp_path, capsys):
+    # omega_b = 1e308 overflows the rotation of B (Tr(h sigma_3) is inf); the affine split's
+    # finiteness check stops every command that builds the split before it writes anything
     doc = make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1, (SIGMA_MINUS,)).to_dict()
     doc["omega_b"] = 1e308
     path = tmp_path / "huge_b.json"
     path.write_text(json.dumps(doc))
-    out = tmp_path / "w.json"
-    code, stdout, err = run_cli(
-        ["analyze-w", "--case", "sigma3-sigma1", "--model", path, "--out", out], capsys
-    )
-    assert code == 3
-    assert stdout == ""
-    assert "control generators reach the vB rows" in json.loads(err)["error"]["message"]
-    assert not out.exists()
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for command in (["analyze-w", "--case", "sigma3-sigma1"], ["simulate", "--horizon", "0.01"],
+                    ["purification-scan", "--horizons", "0.01"]):
+        code, stdout, err = run_cli([*command, "--model", path, "--out", tmp_path / "out"], capsys)
+        assert (code, stdout, err.count("\n")) == (3, "", 1)
+        message = json.loads(err, parse_constant=reject)["error"]["message"]
+        assert re.fullmatch("the affine split of model [0-9a-f]{16} is not finite", message)
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_analyze_w_dispersive(tmp_path, capsys):

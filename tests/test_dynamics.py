@@ -1183,14 +1183,14 @@ def test_piecewise_gemm_matches_per_step_loop(rng, breaks, n_steps):
 def test_log_norm_bar_bounds_the_piecewise_error_at_every_segment_end(rng):
     # a step's local error is at most (h||M||)^5/120 e^{h||M||} |v_k|, the tail of e^{hM} past
     # RK4's Taylor polynomial; the exact flow grows an error, whose c0 entry is 0, by at most
-    # e^{mu t} with mu = lambda_max(sym(M0[1:, 1:])), since the control generators are
-    # antisymmetric on the traceless block to rounding (their symmetric parts read 0 to 4.4e-16,
-    # the rounding of control_generators' subtraction); the bar sums the propagated local bounds
+    # e^{mu t} with mu = lambda_max(sym(M0[1:, 1:])), since the control generators are exactly
+    # antisymmetric on the traceless block (each places a rotation generator and its kron with
+    # I_3); the bar sums the propagated local bounds
     step, n_steps = 1e-3, 10_000
     for _ in range(6):
         model = random_model(rng)
         m0, mc = control_generators(model)
-        assert np.max(np.abs(mc[:, 1:, 1:] + mc[:, 1:, 1:].transpose(0, 2, 1))) <= 4 * np.finfo(float).eps
+        assert not np.any(mc[:, 1:, 1:] + mc[:, 1:, 1:].transpose(0, 2, 1))
         mu = np.linalg.eigvalsh(m0[1:, 1:] + m0[1:, 1:].T)[-1] / 2.0
         breaks = np.unique(np.append(0, rng.integers(1, n_steps, rng.integers(0, 8))))
         values = rng.uniform(-1.0, 1.0, (len(breaks), 3))

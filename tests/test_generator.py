@@ -14,7 +14,7 @@ from blochpair.generator import (
 )
 from blochpair.model import TwoQubitModel, load_model, save_model
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, lindblad_apply, pauli
-from conftest import random_model
+from conftest import random_control_model, random_model
 from oracles import pauli_coefficients
 
 T_EXPECTED = {
@@ -173,6 +173,28 @@ def test_generator_bilinear_in_control(rng):
     diff = generator(model, u1) - generator(model, u2)
     expected = np.einsum("j,jkl->kl", u1 - u2, mc_bare)
     np.testing.assert_allclose(diff, expected, atol=1e-12)
+
+
+def test_control_generators_are_the_placed_control_rotations(rng):
+    # Mc_j is control j's rotation generator on vA and its kron with I_3 on vAB, entry for entry,
+    # with no rounding from omega_a or the jumps; at omega_a = 1e16 a difference of two generators
+    # loses the whole sigma3 entry, since omega_a + 1 rounds to omega_a
+    models = [random_model(rng) if k % 2 else random_control_model(rng) for k in range(200)]
+    models += [TwoQubitModel(w, 0.3, rng.uniform(-2, 2, (3, 3)), (SIGMA_MINUS,)) for w in (1e16, 1e17)]
+    t = t_matrices()
+    for model in models:
+        m0, mc = control_generators(model)
+        for j, h in enumerate(model.control_hams):
+            r = np.einsum("j,jkl->kl", pauli_coefficients(h), t)
+            placed = np.zeros((16, 16))
+            placed[VA, VA], placed[VAB, VAB] = r, np.kron(r, np.eye(3))
+            np.testing.assert_array_equal(mc[j], placed)
+        assert not np.any(mc[:, 1:, 1:] + mc[:, 1:, 1:].transpose(0, 2, 1))
+        assert not np.any(mc[:, 0]) and not np.any(mc[:, VB])
+        u = rng.uniform(-2, 2, 3)
+        m = generator(model, u)
+        tol = 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(m)))
+        assert np.max(np.abs(m - (m0 + np.tensordot(u, mc, 1)))) <= tol
 
 
 def test_generator16_structure(rng):

@@ -31,12 +31,11 @@ from blochpair.protection import (
     transcription_report,
 )
 from blochpair.quantum import SIGMA_MINUS, SIGMA_PLUS, pauli
-from conftest import NON_PAULI_CONTROLS, float_edge, random_model
+from conftest import NON_PAULI_CONTROLS, float_edge, random_control_model, random_model
 from oracles import OBSTRUCTION_COFACTORS, drift_polynomials, drift_rows, full_grid_report, obstruction_identity_holds
 from oracles import random_factorized_states as linalg_norm_draws
 
 ZERO_U = np.zeros(3)
-PAULIS = np.array([pauli(1), pauli(2), pauli(3)])
 
 
 def compatible_sigma31_model(g=0.9, x=0.4, y=0.3, omega_a=0.7, omega_b=1.1):
@@ -179,13 +178,6 @@ def test_drift_independent_of_locals_controls_noise(rng):
 
 
 # -- control independence: the structural certificate -------------------------
-
-
-def random_control_model(rng):
-    """Random model with generic jumps and non-Pauli control Hamiltonians."""
-    base = random_model(rng)
-    controls = tuple(np.einsum("i,ikl->kl", rng.normal(size=3), PAULIS) for _ in range(3))
-    return TwoQubitModel(base.omega_a, base.omega_b, base.lam, base.jumps, controls)
 
 
 def test_control_generators_leave_b_pinned_block_and_drift_exactly_zero(rng):
