@@ -47,7 +47,6 @@ from .protection import (
     dispersive_zero_pattern,
     drift_batch,
     make_model,
-    protected_run,
     protecting_control,
     protecting_law,
     reduced_b_generator,
@@ -93,7 +92,6 @@ __all__ = [
     "numeric_generator",
     "pauli",
     "physicality_defect",
-    "protected_run",
     "protecting_control",
     "protecting_law",
     "purification_scan",

@@ -204,10 +204,7 @@ def _cmd_analyze_w(args) -> int:
             model = make_model(coupling, omega_a=0.7, omega_b=1.1, jumps=(SIGMA_MINUS,))
         report["axis1_escape"] = axis1_escape_report(model, seed=args.seed)
     if not worst <= ORACLE_RESIDUAL_LIMIT:  # NaN fails too; no report is written
-        return _emit_error(
-            EXIT_NUMERICAL,
-            f"transcription residual {worst:.3e} is not within {ORACLE_RESIDUAL_LIMIT:.1e}",
-        )
+        raise AssertionError(f"transcription residual {worst:.3e} is not within {ORACLE_RESIDUAL_LIMIT:.1e}")
     text = json.dumps(report, indent=2) + "\n"
     return _write_out(args, "w_report.json", lambda out: atomic_write_text(out, text), max_residual=worst)
 
@@ -271,19 +268,22 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    detail = None  # of a numerical failure
     try:
         args = parser.parse_args(argv)
+        if args.command == "analyze-w" and args.model:  # its model takes --case's coupling, so not the file's hash
+            detail = {"model_file": args.model}
         with np.errstate(all="ignore"):  # a non-finite result meets a NaN-safe gate, not a warning
             return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a numerical failure
-        return _emit_error(EXIT_NUMERICAL, str(exc))
+        return _emit_error(EXIT_NUMERICAL, str(exc), detail)
     except (ValueError, OSError, MemoryError) as exc:  # bad input, an unreadable or unwritable file, an oversized array
         return _emit_error(EXIT_CONFIG, str(exc))
     except PhysicalityError as exc:
         defect = exc.defect if np.isfinite(exc.defect) else None  # NaN is not JSON
         return _emit_error(EXIT_NUMERICAL, str(exc), {"t": exc.t, "defect": defect})
-    except AssertionError as exc:  # a structural certificate failed, e.g. on a NaN model
-        return _emit_error(EXIT_NUMERICAL, str(exc))
+    except AssertionError as exc:  # a failed oracle gate or structural certificate, e.g. on an overflowing model
+        return _emit_error(EXIT_NUMERICAL, str(exc), detail)
 
 
 if __name__ == "__main__":

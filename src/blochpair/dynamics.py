@@ -220,9 +220,10 @@ def _rk4_map(m1: np.ndarray, m2: np.ndarray, m4: np.ndarray, h: float, work=None
 
 @functools.lru_cache(maxsize=4)
 def _split(model: TwoQubitModel) -> tuple[np.ndarray, np.ndarray, str]:
-    """Finite ``control_generators(model)`` and ``model.hash_hex()``, built once per model (models hash by identity)."""
+    """Finite ``control_generators(model)`` and ``model.hash_hex()``, built once per model (models hash by identity).
+    ``M0`` comes from :func:`~blochpair.generator.generator`, which checks it; the placed ``Mc[j]`` are checked here."""
     m0, mc = control_generators(model)
-    if not (np.isfinite(m0).all() and np.isfinite(mc).all()):
+    if not np.isfinite(mc).all():
         raise AssertionError(f"the affine split of model {model.hash_hex()} is not finite")
     m0.flags.writeable = mc.flags.writeable = False
     return m0, mc, model.hash_hex()

@@ -149,8 +149,11 @@ def assemble_generator(blocks: GeneratorBlocks) -> np.ndarray:
 
 
 def generator(model: TwoQubitModel, u) -> np.ndarray:
-    """Shorthand for ``assemble_generator(assemble_blocks(model, u))``."""
-    return assemble_generator(assemble_blocks(model, u))
+    """``assemble_generator(assemble_blocks(model, u))``; ``AssertionError`` if it is not finite."""
+    m = assemble_generator(assemble_blocks(model, u))
+    if not np.isfinite(m).all():  # as from omega_b = 1e308, whose rotation overflows
+        raise AssertionError(f"the generator of model {model.hash_hex()} is not finite")
+    return m
 
 
 def numeric_generator(model: TwoQubitModel, u) -> np.ndarray:

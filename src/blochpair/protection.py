@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import VA, VAB, VB, _square_norm, embed_factorized
-from .dynamics import ControlLaw, Trajectory, _split, integrate
+from .dynamics import ControlLaw, _split, integrate
 from .generator import dissipator_blocks, generator, t_matrices
 from .model import TwoQubitModel
 from .quantum import SIGMA_MINUS
@@ -69,8 +69,6 @@ COMPATIBILITY_TOL = 1e-10
 _COUPLING_TOL = 1e-12
 #: largest distance of ``|va3|`` from 1/2 at which :func:`protecting_control` takes a pole
 _POLE_TOL = 1e-10
-#: largest distance of ``|vB|^2`` from 1/4 at which :func:`protected_run` takes B on its sphere
-_SPHERE_TOL = 1e-10
 #: slack of the obstruction sweep's ball ``|vA|^2 <= 1/4``, which keeps grid points rounded just past it
 _BALL_SLACK = 1e-12
 #: control offset of the transcription comparison model
@@ -652,30 +650,3 @@ def axis1_escape_report(model: TwoQubitModel, seed: int = 0) -> dict:
         "note": "rate vanishes iff omega_b = 0; the exclusion is first-order only",
     }
 
-
-# -- convenience for closed-loop protection runs -------------------------------
-
-
-def protected_run(
-    model: TwoQubitModel,
-    coupling: Coupling,
-    va3: float,
-    vb0: np.ndarray,
-    horizon: float,
-    step: float,
-) -> tuple[Trajectory, np.ndarray]:
-    """Close the loop with the protecting control and integrate.
-
-    Returns the trajectory together with the reduced rotation generator
-    the realized ``vB(t)`` should follow.  ``model`` must carry the
-    coupling matrix of ``coupling``, and ``vb0`` must put B on its Bloch
-    sphere, ``|vB| = 1/2``.
-    """
-    require_coupling(model, coupling)
-    law = protecting_law(model, va3)
-    vb0 = np.asarray(vb0, dtype=float).reshape(3)
-    if not abs(vb0 @ vb0 - 0.25) <= _SPHERE_TOL:
-        raise ValueError(f"|vB|^2 must be 1/4, got {vb0 @ vb0:.12f}")
-    traj = integrate(model, embed_factorized([0.0, 0.0, va3], vb0), law, horizon, step)
-    rot = reduced_b_generator(coupling, va3, model.omega_b)
-    return traj, rot

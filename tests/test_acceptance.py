@@ -13,6 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 from blochpair.coherence import (
+    embed_factorized,
     factorization_residual,
     VB,
     from_coherence,
@@ -31,8 +32,9 @@ from blochpair.protection import (
     dispersive_invariant_report,
     drift_batch,
     make_model,
-    protected_run,
+    protecting_law,
     random_factorized_states,
+    reduced_b_generator,
     resonant_obstruction_report,
     transcription_report,
 )
@@ -208,10 +210,10 @@ def test_criterion_06_dispersive_invariant_submanifold():
 
 def test_criterion_07_sigma31_protection():
     ell = SIGMA_MINUS + (0.4 + 0.3j) * pauli(3)
-    model = make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1, (ell,))
-    traj, rot = protected_run(
-        model, Coupling("sigma3-sigma1", 0.9), -0.5, [0.0, 0.0, 0.5], 20.0, 1e-3
-    )
+    coupling = Coupling("sigma3-sigma1", 0.9)
+    model = make_model(coupling, 0.7, 1.1, (ell,))
+    traj = integrate(model, embed_factorized([0, 0, -0.5], [0, 0, 0.5]), protecting_law(model, -0.5), 20.0, 1e-3)
+    rot = reduced_b_generator(coupling, -0.5, model.omega_b)
     min_purity = float(traj.purity_b.min())
     sample = slice(0, len(traj), 500)
     predicted = np.stack(

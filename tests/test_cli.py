@@ -505,23 +505,39 @@ def test_diverging_run_reports_the_gate_failure_in_both_commands(tmp_path, capsy
 
 
 def test_failed_structural_certificate_is_numerical_error(tmp_path, capsys):
-    # omega_b = 1e308 overflows the rotation of B (Tr(h sigma_3) is inf); the affine split's
-    # finiteness check stops every command that builds the split before it writes anything
-    doc = make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1, (SIGMA_MINUS,)).to_dict()
-    doc["omega_b"] = 1e308
-    path = tmp_path / "huge_b.json"
-    path.write_text(json.dumps(doc))
+    # omega_a or omega_b = 1e308 overflows a rotation (Tr(h sigma_3) is inf), and a control entry of 1e308
+    # overflows that control's rotation; the finiteness checks of the generator and of the affine split
+    # stop every command before it writes anything.  analyze-w replaces the file's coupling, so the hash
+    # it names is not the file's: its error line names the file too
+    model = make_model(Coupling("sigma3-sigma1", 0.9), 0.7, 1.1, (SIGMA_MINUS,))
+    doc = model.to_dict()
+    huge_control = dataclasses.replace(model, control_hams=(1e308 * pauli(1), pauli(2), pauli(3)))
+    huge = {name: tmp_path / f"{name}.json" for name in ("huge_a", "huge_b", "huge_control")}
+    huge["huge_a"].write_text(json.dumps({**doc, "omega_a": 1e308}))
+    huge["huge_b"].write_text(json.dumps({**doc, "omega_b": 1e308}))
+    huge["huge_control"].write_text(json.dumps(huge_control.to_dict()))
 
     def reject(token):
         raise ValueError(f"{token} is not JSON")
 
-    for command in (["analyze-w", "--case", "sigma3-sigma1"], ["simulate", "--horizon", "0.01"],
-                    ["purification-scan", "--horizons", "0.01"]):
+    for name, command, what in (
+        ("huge_b", ["analyze-w", "--case", "sigma3-sigma1"], "generator"),
+        ("huge_b", ["simulate", "--horizon", "0.01"], "generator"),
+        ("huge_b", ["purification-scan", "--horizons", "0.01"], "generator"),
+        ("huge_a", ["analyze-w", "--case", "resonant"], "generator"),
+        ("huge_a", ["analyze-w", "--case", "dispersive"], "generator"),
+        ("huge_control", ["simulate", "--horizon", "0.01"], "affine split"),
+    ):
+        path = huge[name]
         code, stdout, err = run_cli([*command, "--model", path, "--out", tmp_path / "out"], capsys)
         assert (code, stdout, err.count("\n")) == (3, "", 1)
-        message = json.loads(err, parse_constant=reject)["error"]["message"]
-        assert re.fullmatch("the affine split of model [0-9a-f]{16} is not finite", message)
-    assert sorted(tmp_path.iterdir()) == [path]
+        error = json.loads(err, parse_constant=reject)["error"]
+        file_hash = re.fullmatch(f"the {what} of model ([0-9a-f]{{16}}) is not finite", error["message"]).group(1)
+        if command[0] == "analyze-w":
+            assert error["detail"] == {"model_file": str(path)}
+        else:  # the hash simulate and purification-scan name is the file's own
+            assert "detail" not in error and file_hash == load_model(path).hash_hex()
+    assert sorted(tmp_path.iterdir()) == sorted(huge.values())
 
 
 def test_analyze_w_dispersive(tmp_path, capsys):

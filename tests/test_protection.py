@@ -23,8 +23,8 @@ from blochpair.protection import (
     dispersive_zero_pattern,
     drift_batch,
     make_model,
-    protected_run,
     protecting_control,
+    protecting_law,
     random_factorized_states,
     reduced_b_generator,
     resonant_obstruction_report,
@@ -67,12 +67,7 @@ def test_coupling_rejects_non_finite_strength(tag, g):
         Coupling(tag, g)
 
 
-def test_protected_run_requires_b_on_its_sphere():
-    model = compatible_sigma31_model()
-    coupling = Coupling("sigma3-sigma1", 0.9)
-    protected_run(model, coupling, -0.5, [0.0, 0.0, 0.5], 0.01, 1e-3)
-    with pytest.raises(ValueError, match="vB"):
-        protected_run(model, coupling, -0.5, [0.0, 0.0, 0.4], 0.01, 1e-3)
+def test_embedded_product_state_has_zero_factorization_residual():
     assert factorization_residual(embed_factorized([0.1, 0.0, 0.2], [0.3, 0.4, 0.0])) == 0.0
 
 
@@ -336,13 +331,6 @@ def test_protecting_control_rejects_non_finite_va3(va3):
         protecting_control(model, va3)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_protected_run_rejects_non_finite_vb0(bad):
-    model = compatible_sigma31_model()
-    with pytest.raises(ValueError, match=r"\|vB\|\^2 must be 1/4"):
-        protected_run(model, Coupling("sigma3-sigma1", 0.9), -0.5, [bad, 0.0, 0.5], 0.01, 1e-3)
-
-
 def test_protecting_control_rejects_incompatible():
     model = make_model(Coupling("sigma3-sigma1", 1.0), jumps=(SIGMA_MINUS,))
     with pytest.raises(IncompatibleDissipationError, match="d33"):
@@ -351,11 +339,10 @@ def test_protecting_control_rejects_incompatible():
         protecting_control(model, 0.3)
 
 
-def test_protected_run_keeps_b_pure_and_rotating():
+def test_protecting_law_keeps_b_pure_and_rotating():
     model = compatible_sigma31_model()
-    traj, rot = protected_run(
-        model, Coupling("sigma3-sigma1", 0.9), -0.5, [0.0, 0.0, 0.5], 20.0, 1e-3
-    )
+    traj = integrate(model, embed_factorized([0, 0, -0.5], [0, 0, 0.5]), protecting_law(model, -0.5), 20.0, 1e-3)
+    rot = reduced_b_generator(Coupling("sigma3-sigma1", 0.9), -0.5, model.omega_b)
     assert traj.purity_b.min() >= 1.0 - 1e-7
     # vA frozen at the pole
     pole_dev = np.abs(traj.states[:, 1:4] - np.array([0.0, 0.0, -0.5]))
@@ -1104,15 +1091,16 @@ def test_pole_tolerance_edge(pole):
         protecting_control(model, outside)
 
 
-def test_sphere_tolerance_edge():
-    # vB = (x, 0, 0) inside the sphere: _SPHERE_TOL = 1e-10 holds |vB|^2 >= 1/4 - 1e-10
-    model = compatible_sigma31_model()
-    coupling = Coupling("sigma3-sigma1", 0.9)
-    inside, outside = float_edge(lambda x: abs(x * x - 0.25) <= 1e-10, 0.5, 0.5 - 1e-9)
-    traj, _ = protected_run(model, coupling, -0.5, [inside, 0.0, 0.0], 0.01, 1e-3)
-    assert traj.states[0, 13] == inside
-    with pytest.raises(ValueError, match=r"\|vB\|\^2 must be 1/4, got 0.249999999900"):
-        protected_run(model, coupling, -0.5, [outside, 0.0, 0.0], 0.01, 1e-3)
+def test_reports_refuse_an_overflowing_generator():
+    # omega_a = 1e308 overflows the rotation of A: both reports stop at the generator instead of
+    # sweeping NaN drifts (the obstruction report would certify no row and find no zero)
+    model = make_model(Coupling("resonant", 1.0), omega_a=1e308, omega_b=1.1, jumps=(SIGMA_MINUS,))
+    words = f"the generator of model {model.hash_hex()} is not finite"
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy warns as the rotation overflows
+        with pytest.raises(AssertionError, match=words):
+            resonant_obstruction_report(1.0, grid_step=0.1, n_random=100, model=model)
+        with pytest.raises(AssertionError, match=words):
+            transcription_report(Coupling("resonant", 1.0), model=model)
 
 
 def test_ball_slack_edge():
